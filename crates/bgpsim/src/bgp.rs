@@ -9,7 +9,7 @@
 //! lossless for third-party attributes.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use nettypes::asn::Asn;
+use nettypes::asn::{Asn, Origin};
 use nettypes::prefix::Prefix;
 
 /// BGP message types (RFC 4271 §4.1).
@@ -460,6 +460,85 @@ fn decode_attribute(buf: &mut &[u8]) -> Result<PathAttribute, BgpError> {
     }))
 }
 
+/// The route origin of decoded path attributes: the last AS of the
+/// first AS_PATH's last segment (an `AS_SET` tail is kept whole).
+/// `None` without an AS_PATH, or when that path or its last sequence
+/// is empty.
+pub fn origin_from_attributes(attrs: &[PathAttribute]) -> Option<Origin> {
+    for a in attrs {
+        if let PathAttribute::AsPath(segs) = a {
+            return match segs.last()? {
+                AsPathSegment::Sequence(v) => v.last().copied().map(Origin::Single),
+                AsPathSegment::Set(v) => Some(Origin::Set(v.clone())),
+            };
+        }
+    }
+    None
+}
+
+/// [`origin_from_attributes`] of [`decode_attributes`], read in place
+/// from the wire blob without building any [`PathAttribute`].
+///
+/// Returns exactly what the decode-then-extract pair returns for every
+/// input: `None` when any attribute's framing is truncated, and an
+/// AS_PATH whose segments do not parse counts as an unknown attribute,
+/// so a later well-formed AS_PATH still decides. Only an `AS_SET`
+/// origin allocates.
+pub fn origin_from_attribute_bytes(mut buf: &[u8]) -> Option<Origin> {
+    // `Some(origin)` once the first well-formed AS_PATH is seen; the
+    // rest of the blob must still frame, as `decode_attributes` would
+    // otherwise reject the whole entry.
+    let mut decided: Option<Option<Origin>> = None;
+    while !buf.is_empty() {
+        if buf.len() < 2 {
+            return None;
+        }
+        let (flags, type_code) = (buf[0], buf[1]);
+        let (len, header) = if flags & 0x10 != 0 {
+            if buf.len() < 4 {
+                return None;
+            }
+            (usize::from(u16::from_be_bytes([buf[2], buf[3]])), 4)
+        } else {
+            if buf.len() < 3 {
+                return None;
+            }
+            (usize::from(buf[2]), 3)
+        };
+        let value = buf.get(header..header + len)?;
+        buf = &buf[header + len..];
+        if type_code == 2 && decided.is_none() {
+            decided = as_path_origin(value);
+        }
+    }
+    decided.flatten()
+}
+
+/// The origin of one AS_PATH value: `None` when the segments do not
+/// parse (the attribute is then [`PathAttribute::Unknown`]),
+/// `Some(origin)` otherwise.
+fn as_path_origin(mut v: &[u8]) -> Option<Option<Origin>> {
+    let mut last: Option<(u8, &[u8])> = None;
+    while v.len() >= 2 {
+        let (seg_type, n) = (v[0], usize::from(v[1]) * 4);
+        let asns = v[2..].get(..n)?;
+        if !matches!(seg_type, 1 | 2) {
+            return None;
+        }
+        last = Some((seg_type, asns));
+        v = &v[2 + n..];
+    }
+    if !v.is_empty() {
+        return None;
+    }
+    let be = |c: &[u8]| Asn(u32::from_be_bytes([c[0], c[1], c[2], c[3]]));
+    Some(match last {
+        None => None,
+        Some((2, asns)) => asns.rchunks_exact(4).next().map(|c| Origin::Single(be(c))),
+        Some((_, asns)) => Some(Origin::Set(asns.chunks_exact(4).map(be).collect())),
+    })
+}
+
 /// Decode the body of an UPDATE message (after the 19-byte header).
 pub fn decode_update_body(mut buf: &[u8]) -> Result<UpdateMessage, BgpError> {
     if buf.remaining() < 2 {
@@ -688,6 +767,80 @@ mod tests {
         }
     }
 
+    /// The owned reference for [`origin_from_attribute_bytes`].
+    fn decoded_origin(blob: &[u8]) -> Option<Origin> {
+        decode_attributes(blob)
+            .ok()
+            .and_then(|a| origin_from_attributes(&a))
+    }
+
+    /// One attribute TLV with an honest one-byte length.
+    fn tlv(flags: u8, type_code: u8, value: &[u8]) -> Vec<u8> {
+        let mut v = vec![flags, type_code, value.len() as u8];
+        v.extend_from_slice(value);
+        v
+    }
+
+    /// An AS_PATH value from `(segment type, ASNs)` pairs.
+    fn path_value(segs: &[(u8, &[u32])]) -> Vec<u8> {
+        let mut v = Vec::new();
+        for (t, asns) in segs {
+            v.push(*t);
+            v.push(asns.len() as u8);
+            for a in *asns {
+                v.extend_from_slice(&a.to_be_bytes());
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn borrowed_origin_edge_cases_match_decoder() {
+        let origin = tlv(0x40, 1, &[0]);
+        let good = tlv(0x40, 2, &path_value(&[(2, &[7, 8])]));
+        let set = tlv(0x40, 2, &path_value(&[(2, &[7]), (1, &[9, 4])]));
+        let bad_seg = tlv(0x40, 2, &path_value(&[(3, &[5])]));
+        let odd_tail = tlv(0x40, 2, &[2, 1, 0, 0, 0, 5, 9]);
+        let empty_path = tlv(0x40, 2, &[]);
+        let empty_seq = tlv(0x40, 2, &path_value(&[(2, &[])]));
+        let empty_set = tlv(0x40, 2, &path_value(&[(1, &[])]));
+        let cases: Vec<(Vec<u8>, Option<Origin>)> = vec![
+            (
+                [origin.clone(), good.clone()].concat(),
+                Some(Origin::Single(Asn(8))),
+            ),
+            (set.clone(), Some(Origin::Set(vec![Asn(9), Asn(4)]))),
+            // A malformed AS_PATH is an unknown attribute; the next
+            // well-formed one decides.
+            (
+                [bad_seg.clone(), good.clone()].concat(),
+                Some(Origin::Single(Asn(8))),
+            ),
+            (
+                [odd_tail, set.clone()].concat(),
+                Some(Origin::Set(vec![Asn(9), Asn(4)])),
+            ),
+            // Only the first well-formed AS_PATH counts.
+            ([good.clone(), set].concat(), Some(Origin::Single(Asn(8)))),
+            ([empty_path, good.clone()].concat(), None),
+            (empty_seq, None),
+            (empty_set, Some(Origin::Set(Vec::new()))),
+            // A truncated TLV after a good path rejects the whole blob.
+            ([good.clone(), vec![0x40, 3, 4, 1]].concat(), None),
+            ([good.clone(), vec![0x50, 3, 0]].concat(), None),
+            (bad_seg, None),
+            (Vec::new(), None),
+        ];
+        for (blob, want) in cases {
+            assert_eq!(decoded_origin(&blob), want, "reference on {blob:?}");
+            assert_eq!(
+                origin_from_attribute_bytes(&blob),
+                want,
+                "borrowed on {blob:?}"
+            );
+        }
+    }
+
     fn arb_prefix() -> impl Strategy<Value = Prefix> {
         (any::<u32>(), 0u8..=32).prop_map(|(n, l)| Prefix::new_unchecked_masked(n, l))
     }
@@ -716,6 +869,55 @@ mod tests {
             let (decoded, used) = decode_message(&bytes).unwrap();
             prop_assert_eq!(used, bytes.len());
             prop_assert_eq!(decoded, msg);
+        }
+
+        #[test]
+        fn prop_borrowed_origin_matches_decoder_on_random_bytes(
+            blob in proptest::collection::vec(any::<u8>(), 0..48),
+        ) {
+            prop_assert_eq!(origin_from_attribute_bytes(&blob), decoded_origin(&blob));
+        }
+
+        #[test]
+        fn prop_borrowed_origin_matches_decoder_on_tlv_soup(
+            attrs in proptest::collection::vec(
+                (
+                    proptest::sample::select(vec![0x40u8, 0x50, 0xC0, 0x80]),
+                    proptest::sample::select(vec![1u8, 2, 2, 2, 3, 8, 32]),
+                    proptest::collection::vec(
+                        (0u8..4, proptest::collection::vec(any::<u32>(), 0..3)),
+                        0..3,
+                    ),
+                    0u8..3,
+                ),
+                0..4,
+            ),
+            cut in 0usize..8,
+        ) {
+            // TLVs with plausible framing (AS_PATH-shaped values, an
+            // extended length now and then, a stray byte or a missing
+            // one), then an optional cut off the end.
+            let mut blob = Vec::new();
+            for (flags, type_code, segs, slack) in &attrs {
+                let segs: Vec<(u8, &[u32])> =
+                    segs.iter().map(|(t, a)| (*t, a.as_slice())).collect();
+                let mut value = path_value(&segs);
+                match slack {
+                    1 => value.push(0),
+                    2 => { value.pop(); }
+                    _ => {}
+                }
+                blob.push(*flags);
+                blob.push(*type_code);
+                if flags & 0x10 != 0 {
+                    blob.extend_from_slice(&(value.len() as u16).to_be_bytes());
+                } else {
+                    blob.push(value.len() as u8);
+                }
+                blob.extend_from_slice(&value);
+            }
+            blob.truncate(blob.len().saturating_sub(cut % 4));
+            prop_assert_eq!(origin_from_attribute_bytes(&blob), decoded_origin(&blob));
         }
 
         #[test]

@@ -488,6 +488,81 @@ impl LossyStats {
     }
 }
 
+/// One framed record: header fields and the borrowed body.
+struct Frame<'a> {
+    timestamp: u32,
+    mrt_type: u16,
+    subtype: u16,
+    body: &'a [u8],
+}
+
+/// The lossy scan's record framing, shared by [`RecordReader`] and
+/// [`RibReader`] so both resynchronize, abort and account identically.
+struct Framer<'a> {
+    buf: &'a [u8],
+    offset: usize,
+    stats: LossyStats,
+}
+
+impl<'a> Framer<'a> {
+    fn new(buf: &'a [u8]) -> Framer<'a> {
+        Framer {
+            buf,
+            offset: 0,
+            stats: LossyStats::default(),
+        }
+    }
+
+    fn abort(&mut self) {
+        self.stats.aborted = true;
+        self.stats.bytes_unscanned = self.buf.len() - self.offset;
+        self.offset = self.buf.len();
+    }
+
+    /// The next record whose declared length fits the buffer; `None`
+    /// at the end of the file or after an abort.
+    fn next_frame(&mut self) -> Option<Frame<'a>> {
+        let rest = &self.buf[self.offset..];
+        if rest.is_empty() {
+            return None;
+        }
+        if rest.len() < 12 {
+            // A fragment too short to be a header: the file was cut
+            // mid-header, nothing further can be framed.
+            self.abort();
+            return None;
+        }
+        let len = u32::from_be_bytes([rest[8], rest[9], rest[10], rest[11]]) as usize;
+        let total = 12usize.saturating_add(len);
+        if rest.len() < total {
+            self.abort();
+            return None;
+        }
+        self.offset += total;
+        self.stats.bytes_scanned += total;
+        Some(Frame {
+            timestamp: u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]),
+            mrt_type: u16::from_be_bytes([rest[4], rest[5]]),
+            subtype: u16::from_be_bytes([rest[6], rest[7]]),
+            body: &rest[12..total],
+        })
+    }
+
+    /// Count a decode outcome, passing the value through on success.
+    fn account<T>(&mut self, r: Result<T, Mrt2Error>) -> Option<T> {
+        match r {
+            Ok(v) => {
+                self.stats.decoded += 1;
+                Some(v)
+            }
+            Err(e) => {
+                self.stats.count_skip(&e);
+                None
+            }
+        }
+    }
+}
+
 /// Streaming lossy decoder: yields one decodable record at a time,
 /// resynchronizing on the declared record length and accumulating
 /// [`LossyStats`] as it goes. When a length field overruns the rest of
@@ -496,30 +571,20 @@ impl LossyStats {
 /// tail is accounted in `bytes_unscanned` instead of being silently
 /// dropped.
 pub struct RecordReader<'a> {
-    buf: &'a [u8],
-    offset: usize,
-    stats: LossyStats,
+    framer: Framer<'a>,
 }
 
 impl<'a> RecordReader<'a> {
     /// A reader over a whole file's bytes.
     pub fn new(buf: &'a [u8]) -> RecordReader<'a> {
         RecordReader {
-            buf,
-            offset: 0,
-            stats: LossyStats::default(),
+            framer: Framer::new(buf),
         }
     }
 
     /// Accounting so far; complete once `next()` has returned `None`.
     pub fn stats(&self) -> LossyStats {
-        self.stats
-    }
-
-    fn abort(&mut self) {
-        self.stats.aborted = true;
-        self.stats.bytes_unscanned = self.buf.len() - self.offset;
-        self.offset = self.buf.len();
+        self.framer.stats
     }
 }
 
@@ -528,30 +593,132 @@ impl Iterator for RecordReader<'_> {
 
     fn next(&mut self) -> Option<TimestampedRecord> {
         loop {
-            let rest = &self.buf[self.offset..];
-            if rest.is_empty() {
-                return None;
+            let f = self.framer.next_frame()?;
+            let record = decode_body(f.mrt_type, f.subtype, f.body);
+            if let Some(record) = self.framer.account(record) {
+                return Some(TimestampedRecord {
+                    timestamp: f.timestamp,
+                    record,
+                });
             }
-            if rest.len() < 12 {
-                // A fragment too short to be a header: the file was
-                // cut mid-header, nothing further can be framed.
-                self.abort();
-                return None;
-            }
-            let len = u32::from_be_bytes([rest[8], rest[9], rest[10], rest[11]]) as usize;
-            let total = 12usize.saturating_add(len);
-            if rest.len() < total {
-                self.abort();
-                return None;
-            }
-            self.offset += total;
-            self.stats.bytes_scanned += total;
-            match decode_record(&rest[..total]) {
-                Ok((rec, _)) => {
-                    self.stats.decoded += 1;
-                    return Some(rec);
+        }
+    }
+}
+
+/// A `RIB_IPV4_UNICAST` record read in place: the prefix and the
+/// borrowed entry bytes, already validated to frame exactly as
+/// [`decode_record`] would accept them.
+#[derive(Clone, Copy, Debug)]
+pub struct RibRecordRef<'a> {
+    /// Dump-wide sequence number.
+    pub sequence: u32,
+    /// The prefix.
+    pub prefix: Prefix,
+    count: u16,
+    entries: &'a [u8],
+}
+
+/// One entry of a [`RibRecordRef`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RibEntryRef<'a> {
+    /// Index into the peer table.
+    pub peer_index: u16,
+    /// When the route was received (Unix seconds).
+    pub originated_time: u32,
+    /// Raw BGP path attributes.
+    pub attributes: &'a [u8],
+}
+
+impl<'a> RibRecordRef<'a> {
+    /// Parse a `RIB_IPV4_UNICAST` body. Accepts and rejects exactly the
+    /// bodies the owned decoder does, with the same error; trailing
+    /// bytes after the last entry are ignored, as there.
+    fn parse(mut body: &'a [u8]) -> Result<RibRecordRef<'a>, Mrt2Error> {
+        need!(body, 4);
+        let sequence = body.get_u32();
+        let prefix = get_wire_prefix(&mut body)?;
+        need!(body, 2);
+        let count = body.get_u16();
+        let entries = body;
+        for _ in 0..count {
+            need!(body, 2 + 4 + 2);
+            let alen = usize::from(u16::from_be_bytes([body[6], body[7]]));
+            need!(body, 8 + alen);
+            body.advance(8 + alen);
+        }
+        Ok(RibRecordRef {
+            sequence,
+            prefix,
+            count,
+            entries,
+        })
+    }
+
+    /// The entries, in wire order.
+    pub fn entries(&self) -> impl Iterator<Item = RibEntryRef<'a>> {
+        let mut rest = self.entries;
+        (0..self.count).map(move |_| {
+            // Framing was validated by `parse`.
+            let alen = usize::from(u16::from_be_bytes([rest[6], rest[7]]));
+            let e = RibEntryRef {
+                peer_index: u16::from_be_bytes([rest[0], rest[1]]),
+                originated_time: u32::from_be_bytes([rest[2], rest[3], rest[4], rest[5]]),
+                attributes: &rest[8..8 + alen],
+            };
+            rest = &rest[8 + alen..];
+            e
+        })
+    }
+}
+
+/// What a [`RibReader`] yields.
+#[derive(Debug)]
+pub enum RibItem<'a> {
+    /// A `PEER_INDEX_TABLE` (decoded; one per file).
+    PeerTable(PeerIndexTable),
+    /// A `RIB_IPV4_UNICAST` record, borrowed from the file.
+    Rib(RibRecordRef<'a>),
+}
+
+/// The allocation-free RIB scan: frames records exactly as
+/// [`RecordReader`] does and yields peer tables and borrowed RIB
+/// records. Any other record kind is decoded only to keep
+/// [`LossyStats`] equal to [`decode_file_lossy`]'s on the same bytes.
+pub struct RibReader<'a> {
+    framer: Framer<'a>,
+}
+
+impl<'a> RibReader<'a> {
+    /// A reader over a whole RIB file's bytes.
+    pub fn new(buf: &'a [u8]) -> RibReader<'a> {
+        RibReader {
+            framer: Framer::new(buf),
+        }
+    }
+
+    /// Accounting so far; complete once `next()` has returned `None`.
+    pub fn stats(&self) -> LossyStats {
+        self.framer.stats
+    }
+}
+
+impl<'a> Iterator for RibReader<'a> {
+    type Item = RibItem<'a>;
+
+    fn next(&mut self) -> Option<RibItem<'a>> {
+        loop {
+            let f = self.framer.next_frame()?;
+            let item = match (f.mrt_type, f.subtype) {
+                (TYPE_TABLE_DUMP_V2, SUBTYPE_RIB_IPV4_UNICAST) => {
+                    RibRecordRef::parse(f.body).map(|r| Some(RibItem::Rib(r)))
                 }
-                Err(e) => self.stats.count_skip(&e),
+                (t, st) => decode_body(t, st, f.body).map(|rec| match rec {
+                    MrtRecord::PeerIndexTable(t) => Some(RibItem::PeerTable(t)),
+                    _ => None,
+                }),
+            };
+            if let Some(Some(item)) = self.framer.account(item) {
+                return Some(item);
             }
         }
     }

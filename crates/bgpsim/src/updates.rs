@@ -13,10 +13,10 @@
 //! routing state by applying update files to the most recent RIB,
 //! implementing the missing-file fallback verbatim.
 
-use crate::bgp::{self, BgpMessage, PathAttribute, UpdateMessage};
+use crate::bgp::{self, origin_from_attributes, BgpMessage, PathAttribute, UpdateMessage};
 use crate::mrt2::{
-    decode_file_lossy, encode_file, Bgp4mpMessage, Mrt2Error, MrtRecord, PeerEntry,
-    PeerIndexTable, RibEntry, RibIpv4Unicast, TimestampedRecord,
+    encode_file, Bgp4mpMessage, LossyStats, Mrt2Error, MrtRecord, PeerEntry, PeerIndexTable,
+    RecordReader, RibEntry, RibIpv4Unicast, RibItem, RibReader, TimestampedRecord,
 };
 use crate::engine::{RenderEngine, SelChange};
 use crate::observe::{ObservationDay, RouteObservation, VisibilityModel};
@@ -245,17 +245,103 @@ impl<'w> AttrTable<'w> {
     }
 }
 
-fn origin_from_attributes(attrs: &[PathAttribute]) -> Option<Origin> {
-    use crate::bgp::AsPathSegment;
-    for a in attrs {
-        if let PathAttribute::AsPath(segs) = a {
-            return match segs.last()? {
-                AsPathSegment::Sequence(v) => v.last().copied().map(Origin::Single),
-                AsPathSegment::Set(v) => Some(Origin::Set(v.clone())),
-            };
+/// Decode a file lossily, folding its accounting into `stats`. The
+/// caller emits: workers of a parallel walk stay silent.
+fn decode_counted(bytes: &[u8], stats: &mut LossyStats) -> Vec<TimestampedRecord> {
+    let mut reader = RecordReader::new(bytes);
+    let records = reader.by_ref().collect();
+    stats.merge(&reader.stats());
+    records
+}
+
+/// Per-peer `(prefix, origin)` lists decoded from one RIB file.
+type RibLists = Vec<Vec<(Prefix, Origin)>>;
+
+/// Read a RIB file through the borrowed [`RibReader`] — the one RIB
+/// decode path. Fills `lists` with each peer's routes sorted by prefix,
+/// holding exactly what inserting every entry into a per-peer map in
+/// file order leaves: the last write wins, entries with an out-of-range
+/// peer index or no decodable origin are skipped, and each peer table
+/// starts the state over. Returns the last peer table and how many
+/// tables the file held, or `None` when it held none.
+fn read_rib(
+    bytes: &[u8],
+    stats: &mut LossyStats,
+    lists: &mut RibLists,
+) -> Option<(Vec<PeerEntry>, usize)> {
+    let mut reader = RibReader::new(bytes);
+    let (mut table, mut tables) = (None, 0);
+    // Entries before the first table have no peers to land on.
+    let mut n = 0;
+    for item in reader.by_ref() {
+        match item {
+            RibItem::PeerTable(t) => {
+                lists.iter_mut().for_each(Vec::clear);
+                n = t.peers.len();
+                if lists.len() < n {
+                    lists.resize_with(n, Vec::new);
+                }
+                tables += 1;
+                table = Some(t.peers);
+            }
+            RibItem::Rib(r) => {
+                for e in r.entries() {
+                    let pi = usize::from(e.peer_index);
+                    if pi >= n {
+                        continue;
+                    }
+                    if let Some(origin) = bgp::origin_from_attribute_bytes(e.attributes) {
+                        lists[pi].push((r.prefix, origin));
+                    }
+                }
+            }
         }
     }
-    None
+    stats.merge(&reader.stats());
+    lists.truncate(n);
+    for list in lists.iter_mut() {
+        // Reversed, a stable sort puts each prefix's last write first.
+        list.reverse();
+        list.sort_by_key(|e| e.0);
+        list.dedup_by_key(|e| e.0);
+    }
+    table.map(|peers| (peers, tables))
+}
+
+/// Join one peer's maintained routes against its RIB routes (both
+/// sorted by prefix), pushing each difference as `(prefix, new route)`;
+/// `None` withdraws.
+fn diff_routes(
+    state: &BTreeMap<Prefix, Origin>,
+    rib: &[(Prefix, Origin)],
+    edits: &mut Vec<(Prefix, Option<Origin>)>,
+) {
+    let mut old = state.iter().peekable();
+    let mut new = rib.iter().peekable();
+    loop {
+        match (old.peek(), new.peek()) {
+            (Some(&(op, _)), Some((np, _))) if op < np => {
+                edits.push((*op, None));
+                old.next();
+            }
+            (Some(&(op, oo)), Some((np, no))) if op == np => {
+                if oo != no {
+                    edits.push((*np, Some(no.clone())));
+                }
+                old.next();
+                new.next();
+            }
+            (_, Some((np, no))) => {
+                edits.push((*np, Some(no.clone())));
+                new.next();
+            }
+            (Some(&(op, _)), None) => {
+                edits.push((*op, None));
+                old.next();
+            }
+            (None, None) => break,
+        }
+    }
 }
 
 /// The peer table for a monitor fleet. Peer tables are u16-counted on
@@ -527,36 +613,19 @@ impl CollectorArchiveV2 {
         self.updates.insert(d, bytes);
     }
 
+    /// Replace a RIB file's bytes (stale, damaged or foreign RIBs).
+    pub fn replace_rib(&mut self, d: Date, bytes: Bytes) {
+        self.ribs.insert(d, bytes);
+    }
+
     /// Load a RIB file into per-peer state.
-    fn load_rib(&self, d: Date) -> Option<(Vec<PeerEntry>, PeerRoutes)> {
-        let bytes = self.ribs.get(&d)?;
-        let (records, _stats) = decode_file_lossy(bytes);
-        let mut peers: Vec<PeerEntry> = Vec::new();
-        let mut routes: PeerRoutes = Vec::new();
-        for rec in records {
-            match rec.record {
-                MrtRecord::PeerIndexTable(t) => {
-                    peers = t.peers;
-                    routes = vec![BTreeMap::new(); peers.len()];
-                }
-                MrtRecord::RibIpv4Unicast(r) => {
-                    for e in &r.entries {
-                        let Some(slot) = routes.get_mut(e.peer_index as usize) else {
-                            continue;
-                        };
-                        if let Ok(attrs) = bgp::decode_attributes(&e.attributes) {
-                            if let Some(origin) = origin_from_attributes(&attrs) {
-                                slot.insert(r.prefix, origin);
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
+    fn load_rib(&self, d: Date, stats: &mut LossyStats) -> Option<(Vec<PeerEntry>, PeerRoutes)> {
+        let mut lists = Vec::new();
+        let (peers, _) = read_rib(self.ribs.get(&d)?, stats, &mut lists)?;
         if peers.is_empty() {
             return None;
         }
+        let routes = lists.into_iter().map(|l| l.into_iter().collect()).collect();
         Some((peers, routes))
     }
 
@@ -567,8 +636,9 @@ impl CollectorArchiveV2 {
         bytes: &Bytes,
         peers: &[PeerEntry],
         routes: &mut [BTreeMap<Prefix, Origin>],
+        stats: &mut LossyStats,
     ) {
-        let (mut records, _stats) = decode_file_lossy(bytes);
+        let mut records = decode_counted(bytes, stats);
         records.sort_by_key(|r| r.timestamp);
         // Peers are identified by (IP, ASN): multiple collector peers
         // may share an ASN (multi-session setups), but never an IP.
@@ -601,7 +671,22 @@ impl CollectorArchiveV2 {
     }
 
     /// Reconstruct the routing state of `date` per the paper's rules.
+    /// Damaged files are read lossily; their accounting is emitted
+    /// (see [`LossyStats::emit`]) before returning.
     pub fn day_view(&self, date: Date) -> Result<DayView, ArchiveError> {
+        let mut stats = LossyStats::default();
+        let view = self.day_view_counted(date, &mut stats);
+        stats.emit();
+        view
+    }
+
+    /// [`CollectorArchiveV2::day_view`], folding the accounting of
+    /// every file read into `stats` instead of emitting it.
+    fn day_view_counted(
+        &self,
+        date: Date,
+        stats: &mut LossyStats,
+    ) -> Result<DayView, ArchiveError> {
         // The RIB at or before the date…
         let Some((&rib_date, _)) = self.ribs.range(..=date).next_back() else {
             // …or, if the day precedes all RIBs, it is out of range.
@@ -612,7 +697,7 @@ impl CollectorArchiveV2 {
             });
         };
         let (peers, mut routes) = self
-            .load_rib(rib_date)
+            .load_rib(rib_date, stats)
             .ok_or(ArchiveError::NoRibAvailable(date))?;
 
         let mut provenance = if rib_date == date {
@@ -625,7 +710,7 @@ impl CollectorArchiveV2 {
         while d <= date {
             match self.updates.get(&d) {
                 Some(bytes) => {
-                    self.apply_updates(bytes, &peers, &mut routes);
+                    self.apply_updates(bytes, &peers, &mut routes, stats);
                     d = d.succ();
                 }
                 None => {
@@ -635,7 +720,7 @@ impl CollectorArchiveV2 {
                         return Err(ArchiveError::NoRibAvailable(d));
                     };
                     let (p2, r2) = self
-                        .load_rib(next_rib)
+                        .load_rib(next_rib, stats)
                         .ok_or(ArchiveError::NoRibAvailable(next_rib))?;
                     if next_rib <= date {
                         // Resume reconstruction from the later RIB.
@@ -677,6 +762,9 @@ impl CollectorArchiveV2 {
             empty_key: Arc::from(""),
             anchor: Anchor::None,
             full_rebuilds: 0,
+            rib_merges: 0,
+            lossy: LossyStats::default(),
+            rib_lists: Vec::new(),
         }
     }
 }
@@ -720,11 +808,13 @@ enum Anchor {
 /// across days. A day whose update file is present costs one update
 /// decode instead of a RIB decode plus every update since; the decoded
 /// forward-fallback RIB is memoized so N consecutive fallback days
-/// cost one decode. Every step reports which prefixes changed, feeding
-/// incremental consumers; results are identical to the per-day
-/// reconstruction (the anchored state is exactly what `day_view`
-/// recomputes from the same RIB, and the sweep reanchors through
-/// `day_view` itself whenever the fast path doesn't apply).
+/// cost one decode. An in-sequence RIB day is merge-joined into the
+/// maintained state rather than rebuilt. Every step reports which
+/// prefixes changed, feeding incremental consumers; results are
+/// identical to the per-day reconstruction (the anchored state is
+/// exactly what `day_view` recomputes from the same files, and the
+/// sweep reanchors through `day_view` itself whenever the fast paths
+/// don't apply).
 pub struct ObservationSweep<'a> {
     archive: &'a CollectorArchiveV2,
     peers: Vec<PeerEntry>,
@@ -738,6 +828,11 @@ pub struct ObservationSweep<'a> {
     empty_key: Arc<str>,
     anchor: Anchor,
     full_rebuilds: usize,
+    rib_merges: usize,
+    /// Accounting of every file the sweep has read.
+    lossy: LossyStats,
+    /// Scratch for [`read_rib`], reused across RIB merges.
+    rib_lists: RibLists,
 }
 
 fn okey(fmt: &mut HashMap<Origin, Arc<str>>, o: &Origin) -> Arc<str> {
@@ -783,8 +878,12 @@ impl<'a> ObservationSweep<'a> {
             Anchor::Day { day, rib_date } if d == day.succ() => {
                 if self.archive.ribs.contains_key(&d) {
                     // `day_view` prefers a same-day RIB over applying
-                    // updates; mirror it by reanchoring.
-                    return self.reanchor(d);
+                    // updates: the RIB wins, merged in place when its
+                    // peer table is the current one.
+                    return match self.merge_rib(d) {
+                        Some(delta) => Ok(delta),
+                        None => self.reanchor(d),
+                    };
                 }
                 let Some(bytes) = self.archive.updates.get(&d) else {
                     return self.enter_fallback(d);
@@ -875,10 +974,23 @@ impl<'a> ObservationSweep<'a> {
         self.full_rebuilds
     }
 
-    /// Full reconstruction through `day_view` (first day, rib days,
-    /// out-of-sequence queries, recovery after errors).
+    /// How many in-sequence RIB days were merge-joined into the
+    /// maintained state instead of rebuilt.
+    pub fn rib_merges(&self) -> usize {
+        self.rib_merges
+    }
+
+    /// Lossy-decode accounting over every file the sweep has read. The
+    /// sweep never emits it; its caller does, once.
+    pub fn lossy_stats(&self) -> LossyStats {
+        self.lossy
+    }
+
+    /// Full reconstruction through `day_view` (first day, RIB days the
+    /// merge cannot take, out-of-sequence queries, recovery after
+    /// errors).
     fn reanchor(&mut self, d: Date) -> Result<DayDelta, ArchiveError> {
-        match self.archive.day_view(d) {
+        match self.archive.day_view_counted(d, &mut self.lossy) {
             Ok(view) => {
                 self.full_rebuilds += 1;
                 self.peers = view.peers;
@@ -914,7 +1026,7 @@ impl<'a> ObservationSweep<'a> {
             self.anchor = Anchor::Dead { day: d, missing: d };
             return Err(ArchiveError::NoRibAvailable(d));
         };
-        let Some((peers, routes)) = self.archive.load_rib(rib) else {
+        let Some((peers, routes)) = self.archive.load_rib(rib, &mut self.lossy) else {
             self.anchor = Anchor::None;
             return Err(ArchiveError::NoRibAvailable(rib));
         };
@@ -926,6 +1038,54 @@ impl<'a> ObservationSweep<'a> {
         Ok(DayDelta {
             provenance: Provenance::FallbackRib { rib_date: rib },
             changed: None,
+        })
+    }
+
+    /// Anchored at `d - 1` and `d` has a RIB: merge-join the RIB into
+    /// the maintained routes and counts, touching only the differences,
+    /// so the state equals `load_rib(d)` ("RIB wins"). `None` when the
+    /// file has no peer table, several, or one that differs from the
+    /// current table; the caller then reanchors.
+    fn merge_rib(&mut self, d: Date) -> Option<DayDelta> {
+        let archive = self.archive;
+        let mut stats = LossyStats::default();
+        let (peers, tables) = read_rib(archive.ribs.get(&d)?, &mut stats, &mut self.rib_lists)?;
+        if tables != 1 || peers != self.peers {
+            return None;
+        }
+        self.lossy.merge(&stats);
+        let Self {
+            ref mut routes,
+            ref mut counts,
+            ref mut fmt,
+            ref rib_lists,
+            ..
+        } = *self;
+        let mut edits = Vec::new();
+        let mut touched = Vec::new();
+        for (state, rib) in routes.iter_mut().zip(rib_lists) {
+            diff_routes(state, rib, &mut edits);
+            for (p, new) in edits.drain(..) {
+                let old = match new {
+                    Some(o) => {
+                        count_inc(counts, fmt, p, &o);
+                        state.insert(p, o)
+                    }
+                    None => state.remove(&p),
+                };
+                if let Some(old) = old {
+                    count_dec(counts, fmt, p, &old);
+                }
+                touched.push(p);
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        self.rib_merges += 1;
+        self.anchor = Anchor::Day { day: d, rib_date: d };
+        Some(DayDelta {
+            provenance: Provenance::Exact,
+            changed: Some(touched),
         })
     }
 
@@ -948,7 +1108,7 @@ impl<'a> ObservationSweep<'a> {
     /// and changed-prefix tracking bolted on. A route write that does
     /// not change the stored origin touches nothing.
     fn apply_updates_tracked(&mut self, bytes: &Bytes) -> Vec<Prefix> {
-        let (mut records, _stats) = decode_file_lossy(bytes);
+        let mut records = decode_counted(bytes, &mut self.lossy);
         records.sort_by_key(|r| r.timestamp);
         let index_of: HashMap<(u32, Asn), usize> = self
             .peers
@@ -1219,6 +1379,7 @@ fn encode_updates_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mrt2::decode_file_lossy;
     use crate::observe::per_monitor_routes;
     use crate::scenario::WorldConfig;
     use crate::topology::TopologyConfig;
@@ -1554,9 +1715,68 @@ mod tests {
             }
         }
         // 31 day_view calls would have paid 31 rebuilds; the sweep
-        // pays one per anchor: Jan 1, the fallback, and the later RIB
-        // days (15, 22, 29).
-        assert_eq!(sweep.full_rebuilds(), 5);
+        // rebuilds only at Jan 1 and the fallback. The later RIB days
+        // (15, 22, 29) arrive in sequence and merge-join instead.
+        assert_eq!(sweep.full_rebuilds(), 2);
+        assert_eq!(sweep.rib_merges(), 3);
+    }
+
+    #[test]
+    fn sweep_rib_merge_keeps_map_semantics_on_odd_ribs() {
+        use crate::mrt2::decode_file;
+        let (_, _, mut archive) = setup();
+        let d = date("2018-01-15");
+        let mut records = decode_file(archive.rib_bytes(d).unwrap()).expect("clean RIB");
+        let MrtRecord::RibIpv4Unicast(first) = records[1].record.clone() else {
+            panic!("RIB record expected after the peer table");
+        };
+        let pi = first.entries[0].peer_index;
+        let other_origin = bgp::encode_attributes(&[PathAttribute::AsPath(vec![
+            bgp::AsPathSegment::Sequence(vec![Asn(64_999)]),
+        ])]);
+        let entry = |peer_index: u16, attributes: Bytes| RibEntry {
+            peer_index,
+            originated_time: 0,
+            attributes,
+        };
+        let rib = |entries: Vec<RibEntry>| TimestampedRecord {
+            timestamp: 0,
+            record: MrtRecord::RibIpv4Unicast(RibIpv4Unicast {
+                sequence: 0,
+                prefix: first.prefix,
+                entries,
+            }),
+        };
+        // Before the peer table: dropped. After the last record: the
+        // second write wins, then an undecodable write and an
+        // out-of-range peer change nothing.
+        records.insert(0, rib(vec![entry(pi, other_origin.clone())]));
+        records.push(rib(vec![entry(pi, other_origin)]));
+        records.push(rib(vec![
+            entry(pi, Bytes::from_static(&[0x40, 2, 9])),
+            entry(u16::MAX, first.entries[0].attributes.clone()),
+        ]));
+        archive.replace_rib(d, encode_file(&records).expect("encodes"));
+
+        let mut sweep = archive.sweep();
+        for day in DateRange::new(date("2018-01-01"), date("2018-01-31")).iter() {
+            let delta = sweep.advance(day).expect("day serves");
+            let view = archive.day_view(day).expect("view");
+            assert_eq!(delta.provenance, view.provenance, "{day}");
+            assert_eq!(
+                sweep.observation_day(day),
+                view.to_observation_day(),
+                "{day}"
+            );
+            if day == d {
+                assert_eq!(
+                    view.peer_routes[usize::from(pi)][&first.prefix],
+                    Origin::Single(Asn(64_999))
+                );
+                assert!(delta.changed.expect("merged").contains(&first.prefix));
+            }
+        }
+        assert_eq!((sweep.full_rebuilds(), sweep.rib_merges()), (1, 4));
     }
 
     #[test]

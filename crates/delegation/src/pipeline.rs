@@ -15,6 +15,7 @@ use crate::base::{infer_base_delegations, infer_from_pairs, origin_for_prefix, D
 use crate::config::InferenceConfig;
 use crate::extensions::{consistency_fill, filter_intra_org};
 use bgpsim::collector::CollectorArchive;
+use bgpsim::mrt2::LossyStats;
 use bgpsim::observe::ObservationDay;
 use bgpsim::updates::{CollectorArchiveV2, Provenance};
 use nettypes::asn::Asn;
@@ -23,6 +24,7 @@ use nettypes::date::{Date, DateRange};
 use nettypes::prefix::Prefix;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 /// Where the pipeline reads observations from.
 pub enum PipelineInput<'a> {
@@ -234,6 +236,28 @@ enum DayOutcome {
     },
 }
 
+/// What the incremental walk's sweeps did, summed over chunks.
+#[derive(Default)]
+struct SweepTally {
+    full_rebuilds: usize,
+    rib_merges: usize,
+    changed_prefixes: usize,
+    lossy: LossyStats,
+}
+
+impl SweepTally {
+    /// Emit the decode accounting and the sweep counters. Called once,
+    /// on the calling thread after the chunk merge: workers stay silent
+    /// so traces nest strictly.
+    fn emit(&self) {
+        self.lossy.emit();
+        let add = |name: &str, n: usize| obs::metrics::counter(name).add(n as u64);
+        add("delegation_sweep_full_rebuilds_total", self.full_rebuilds);
+        add("delegation_sweep_rib_merges_total", self.rib_merges);
+        add("delegation_sweep_changed_prefixes_total", self.changed_prefixes);
+    }
+}
+
 /// The incremental MRT path: fetch and steps (i)–(iii) fused into one
 /// chunked walk.
 ///
@@ -241,7 +265,7 @@ enum DayOutcome {
 /// (`bgpsim::par::chunk_ranges`); each worker runs a persistent
 /// [`bgpsim::updates::ObservationSweep`] seeded with one full
 /// reconstruction at its chunk start, then pays one update-file decode
-/// per day. A maintained `prefix → origin` pair map is re-evaluated
+/// per day, or one borrowed RIB scan on a RIB day. A maintained `prefix → origin` pair map is re-evaluated
 /// only for the prefixes the sweep reports changed; step (iv) and
 /// extension (iv) run per day as before, and chunk results merge in
 /// day order, so any worker count produces the full-recompute result.
@@ -257,10 +281,13 @@ fn run_mrt_incremental(
     sweep_sp.add_items(n as u64);
 
     let ranges = bgpsim::par::chunk_ranges(n, bgpsim::par::num_threads());
+    // Sums commute, so the tally is the same whichever chunk folds first.
+    let tally = Mutex::new(SweepTally::default());
     let per_day: Vec<DayOutcome> = bgpsim::par::map_chunked_with(&ranges, |r| {
         let mut sweep = archive.sweep();
         let bogons = BogonFilter::new();
         let mut pairs: BTreeMap<Prefix, Asn> = BTreeMap::new();
+        let mut changed_prefixes = 0;
         let mut out = Vec::with_capacity(r.len());
         for i in r {
             let d = days_vec[i];
@@ -294,6 +321,7 @@ fn run_mrt_incremental(
                     }
                 }
                 Some(changed) => {
+                    changed_prefixes += changed.len();
                     for &p in changed {
                         match origin_for_prefix(&bogons, config, threshold, p, sweep.routes_for(p))
                         {
@@ -322,9 +350,20 @@ fn run_mrt_incremental(
                 fallback: matches!(delta.provenance, Provenance::FallbackRib { .. }),
             });
         }
+        // A poisoned tally means another chunk panicked; the fan-out
+        // re-raises that panic, so the partial sum is never read.
+        let mut t = tally.lock().unwrap_or_else(PoisonError::into_inner);
+        t.full_rebuilds += sweep.full_rebuilds();
+        t.rib_merges += sweep.rib_merges();
+        t.changed_prefixes += changed_prefixes;
+        t.lossy.merge(&sweep.lossy_stats());
         out
     });
     drop(sweep_sp);
+    tally
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .emit();
 
     let mut days: Vec<Vec<Delegation>> = Vec::with_capacity(n);
     let mut fallback_days = Vec::new();

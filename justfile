@@ -31,6 +31,11 @@ lint-explain rule="L7":
 lint-json:
     cargo run --release --bin repro -- lint --format json
 
+# One repository-benchmark workload, run with the exact BENCHMARK.json
+# command (`trace="1"` for the per-layer run).
+perfbench workload="mrt_pipeline" seed="1" seconds="30" trace="0":
+    cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --workload {{ workload }} --seed {{ seed }} --seconds {{ seconds }} --trace {{ trace }}
+
 # Regenerate every paper artifact at quick scale.
 repro:
     cargo run --release --bin repro -- all

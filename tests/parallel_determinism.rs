@@ -954,6 +954,170 @@ fn incremental_pipeline_matches_full_recompute_at_every_pool_size() {
     std::env::remove_var("DRYWELLS_THREADS");
 }
 
+/// A quick archive with three bad RIBs, each hitting one branch of
+/// the sweep's RIB-day merge: the third RIB swapped for the second
+/// (stale: the RIB wins over the reconstructed state), the fifth with
+/// one peer dropped from its table (the merge cannot apply and the
+/// sweep reanchors, as it does again at the sixth), and the seventh
+/// with one record truncated inside its body (skipped, as the lossy
+/// scan skips it). Returns the archive and the merge-joined RIB count.
+fn adversarial_rib_archive(seed: u64) -> (StudyConfig, CollectorArchiveV2, usize) {
+    use bgpsim::mrt2::{decode_file, encode_file, MrtRecord};
+    let config = StudyConfig::quick_seeded(seed);
+    let world = bgpsim::scenario::LeaseWorld::generate(&config.world);
+    let mut archive = CollectorArchiveV2::generate(
+        &world,
+        &config.visibility,
+        world.span,
+        &ArchiveV2Config::default(),
+    )
+    .expect("archive encodes");
+    let ribs: Vec<_> = archive.rib_dates().collect();
+    assert!(ribs.len() >= 8, "quick span holds {} RIBs", ribs.len());
+    let rib = |i: usize| archive.rib_bytes(ribs[i]).expect("listed RIB").clone();
+
+    let stale = rib(1);
+
+    let mut records = decode_file(&rib(4)).expect("clean RIB");
+    match &mut records[0].record {
+        MrtRecord::PeerIndexTable(t) => {
+            t.peers.pop();
+        }
+        other => panic!("RIB starts with {other:?}"),
+    }
+    let shrunk = encode_file(&records).expect("re-encodes");
+
+    let mut cut = rib(6).to_vec();
+    let first = 12 + u32::from_be_bytes([cut[8], cut[9], cut[10], cut[11]]) as usize;
+    let len = u32::from_be_bytes([
+        cut[first + 8],
+        cut[first + 9],
+        cut[first + 10],
+        cut[first + 11],
+    ]);
+    cut[first + 8..first + 12].copy_from_slice(&(len - 3).to_be_bytes());
+    cut.drain(first + 12 + len as usize - 3..first + 12 + len as usize);
+
+    archive.replace_rib(ribs[2], stale);
+    archive.replace_rib(ribs[4], shrunk);
+    archive.replace_rib(ribs[6], bytes::Bytes::from(cut));
+    // Day 0 and the two peer-table changes rebuild; every other RIB
+    // day merges.
+    let merges = ribs.len() - 3;
+    (config, archive, merges)
+}
+
+#[test]
+fn sweep_merges_adversarial_ribs_like_day_view() {
+    let (config, archive, merges) = adversarial_rib_archive(54);
+    let span = config.world.span;
+    let mut sweep = archive.sweep();
+    let mut prev: Option<bgpsim::observe::ObservationDay> = None;
+    for d in span.iter() {
+        let delta = sweep.advance(d).expect("day serves");
+        let view = archive.day_view(d).expect("day_view serves");
+        assert_eq!(
+            delta.provenance, view.provenance,
+            "provenance differs on {d}"
+        );
+        let today = sweep.observation_day(d);
+        assert_eq!(today, view.to_observation_day(), "surface differs on {d}");
+        if let (Some(prev), Some(changed)) = (&prev, &delta.changed) {
+            // Every prefix whose rows moved is reported, RIB days too.
+            let rows = |o: &bgpsim::observe::ObservationDay| {
+                o.routes
+                    .iter()
+                    .map(|r| (r.prefix, format!("{}", r.origin), r.monitors_seen))
+                    .collect::<std::collections::BTreeSet<_>>()
+            };
+            let (a, b) = (rows(prev), rows(&today));
+            for (p, ..) in a.symmetric_difference(&b) {
+                assert!(
+                    changed.binary_search(p).is_ok(),
+                    "silent change at {p} on {d}"
+                );
+            }
+        }
+        prev = Some(today);
+    }
+    assert_eq!(sweep.rib_merges(), merges);
+    assert_eq!(sweep.full_rebuilds(), 3);
+    let stats = sweep.lossy_stats();
+    assert_eq!(stats.skipped_truncated, 1, "{stats:?}");
+    assert_eq!(stats.skipped(), 1, "{stats:?}");
+}
+
+#[test]
+fn incremental_pipeline_matches_full_recompute_over_adversarial_ribs() {
+    let (config, archive, _) = adversarial_rib_archive(55);
+    let span = config.world.span;
+    let cfg = InferenceConfig::baseline();
+    let oracle = run_pipeline_with_mode(
+        PipelineInput::MrtArchive(&archive),
+        span,
+        &cfg,
+        None,
+        PipelineMode::FullRecompute,
+    );
+    for threads in ["1", "2", "4"] {
+        std::env::set_var("DRYWELLS_THREADS", threads);
+        let inc = run_pipeline_with_mode(
+            PipelineInput::MrtArchive(&archive),
+            span,
+            &cfg,
+            None,
+            PipelineMode::Incremental,
+        );
+        assert_eq!(
+            inc.days, oracle.days,
+            "delegations differ at {threads} threads"
+        );
+        assert_eq!(inc.fallback_days, oracle.fallback_days);
+        assert_eq!(inc.missing_days, oracle.missing_days);
+    }
+    std::env::remove_var("DRYWELLS_THREADS");
+}
+
+#[test]
+fn incremental_pipeline_reports_damaged_update_records() {
+    // One update record with a broken BGP marker: the walk skips it
+    // like the full recompute does, and says so on the calling thread.
+    let config = StudyConfig::quick_seeded(56);
+    let world = bgpsim::scenario::LeaseWorld::generate(&config.world);
+    let mut archive = CollectorArchiveV2::generate(
+        &world,
+        &config.visibility,
+        world.span,
+        &ArchiveV2Config::default(),
+    )
+    .expect("archive encodes");
+    let d = archive.update_dates().nth(3).expect("update files exist");
+    let mut bytes = archive.update_bytes(d).expect("listed update").to_vec();
+    // Header 12 + BGP4MP_MESSAGE_AS4 preamble 20: the BGP marker.
+    bytes[32] = 0;
+    archive.corrupt_update_file(d, bytes::Bytes::from(bytes));
+
+    let mut sweep = archive.sweep();
+    for day in world.span.iter() {
+        sweep.advance(day).expect("day serves");
+    }
+    assert_eq!(sweep.lossy_stats().skipped_bgp, 1);
+
+    let cfg = InferenceConfig::baseline();
+    let skipped = obs::metrics::counter("mrt_records_skipped_total");
+    let before = skipped.get();
+    let inc = run_pipeline(PipelineInput::MrtArchive(&archive), world.span, &cfg, None);
+    assert!(skipped.get() > before, "the damaged record went unreported");
+    let full = run_pipeline_with_mode(
+        PipelineInput::MrtArchive(&archive),
+        world.span,
+        &cfg,
+        None,
+        PipelineMode::FullRecompute,
+    );
+    assert_eq!(inc.days, full.days);
+}
+
 #[test]
 fn fig6_csv_identical_between_incremental_and_full_recompute() {
     // End to end over the decoded-archive surface: figure text and CSV

@@ -22,9 +22,8 @@
 //! 6. patch-apply materialization: `state_routes_warm` (read the
 //!    patch-maintained candidates) vs `per_monitor_routes_warm` (full
 //!    selection from scratch);
-//! 7. update encoding: `archive_delta` (delta-fed `encode_updates`
-//!    from `SelChange` lists) vs `archive_full_recompute` (merge-join
-//!    over two full per-peer states), both single-threaded.
+//! 7. update encoding: `archive_delta` (the whole archive, update
+//!    files encoded straight from `SelChange` lists), single-threaded.
 
 use bgpsim::engine::RenderEngine;
 use bgpsim::observe::{monitor_ases, render_day, render_days_with_threads, VisibilityModel};
@@ -164,26 +163,14 @@ fn bench_patch_apply_vs_full(c: &mut Criterion) {
     // from-scratch selection this replaces.
 }
 
-fn bench_archive_delta_vs_full(c: &mut Criterion) {
+fn bench_archive_delta(c: &mut Criterion) {
     let (world, model) = setup();
     let cfg = ArchiveV2Config::default();
-    // Delta-fed update encoding straight from `SelChange` lists…
     c.bench_function("engine/archive_delta", |b| {
         b.iter(|| {
             black_box(
                 CollectorArchiveV2::generate_with_threads(&world, &model, world.span, &cfg, 1)
                     .expect("archive encodes"),
-            )
-        })
-    });
-    // …vs the merge-join over two full per-peer states per day.
-    c.bench_function("engine/archive_full_recompute", |b| {
-        b.iter(|| {
-            black_box(
-                CollectorArchiveV2::generate_full_recompute_with_threads(
-                    &world, &model, world.span, &cfg, 1,
-                )
-                .expect("archive encodes"),
             )
         })
     });
@@ -198,6 +185,6 @@ criterion_group!(
     bench_valley_free_path,
     bench_delta_advance,
     bench_patch_apply_vs_full,
-    bench_archive_delta_vs_full,
+    bench_archive_delta,
 );
 criterion_main!(benches);

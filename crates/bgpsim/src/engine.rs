@@ -911,9 +911,7 @@ impl<'w> RenderEngine<'w> {
                 continue;
             }
             let origin_changed = match (old, new) {
-                (Some(o), Some(n)) => {
-                    self.entities[o as usize].origin != self.entities[n as usize].origin
-                }
+                (Some(o), Some(n)) => self.entities[o].origin != self.entities[n].origin,
                 _ => true,
             };
             if origin_changed {
@@ -937,7 +935,7 @@ impl<'w> RenderEngine<'w> {
                         continue;
                     }
                     last = Some(p);
-                    routes.push((p, self.entities[ei as usize].origin.clone()));
+                    routes.push((p, self.entities[ei].origin.clone()));
                 }
                 routes
             })

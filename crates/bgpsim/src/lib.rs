@@ -17,11 +17,10 @@
 //!   more-specific hijacks and scrubbing services),
 //! * [`observe`] — renders a world into per-day route observations at
 //!   a configurable set of monitors, with per-monitor visibility loss,
-//! * [`mrt`] — a compact MRT-like binary codec for daily RIB snapshots
-//!   and update files,
-//! * [`collector`] — an in-process collector archive with the paper's
-//!   "if an update file is missing, use the next available RIB"
-//!   fallback behaviour.
+//! * [`mrt2`] and [`bgp`] — the RFC 6396 MRT and RFC 4271 BGP codecs,
+//! * [`updates`] — an in-process RFC 6396 collector archive (periodic
+//!   RIB dumps plus daily update files) with the paper's "if an update
+//!   file is missing, use the next available RIB" fallback behaviour.
 //!
 //! Everything is seeded and deterministic; generating ~2.4 years of
 //! daily observations for a few thousand prefixes takes well under a
@@ -31,9 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod bgp;
-pub mod collector;
 pub mod engine;
-pub mod mrt;
 pub mod mrt2;
 pub mod observe;
 pub mod par;
@@ -42,7 +39,6 @@ pub mod scenario;
 pub mod topology;
 pub mod updates;
 
-pub use collector::{CollectorArchive, DayData};
 pub use observe::{ObservationDay, RouteObservation, VisibilityModel};
 pub use scenario::{Lease, LeaseWorld, WorldConfig};
 pub use topology::{AsNode, Tier, Topology, TopologyConfig};

@@ -389,8 +389,7 @@ impl CollectorArchiveV2 {
     /// state; update files are encoded straight from the per-monitor
     /// [`SelChange`] lists instead of merge-joining two full states.
     /// Chunk results merge in date order, so the archive bytes are
-    /// identical for any thread count — and to the full-recompute
-    /// oracle ([`CollectorArchiveV2::generate_full_recompute_with_threads`]).
+    /// identical for any thread count.
     pub fn generate_with_threads(
         world: &LeaseWorld,
         model: &VisibilityModel,
@@ -469,52 +468,6 @@ impl CollectorArchiveV2 {
                     }
                 }
                 out
-            })
-        };
-        Self::assemble(peers, days, encoded)
-    }
-
-    /// Generate the archive by fully re-rendering every day — the
-    /// pre-incremental two-pass path, kept as the byte-identity oracle
-    /// for the delta path (and for out-of-sequence render needs).
-    pub fn generate_full_recompute_with_threads(
-        world: &LeaseWorld,
-        model: &VisibilityModel,
-        span: DateRange,
-        config: &ArchiveV2Config,
-        threads: usize,
-    ) -> Result<CollectorArchiveV2, Mrt2Error> {
-        let engine = RenderEngine::new(world, model);
-        let peers = build_peers(engine.monitors())?;
-
-        let days: Vec<Date> = span.iter().collect();
-        let n = days.len();
-        let span_obs = obs::span!("mrt_encode", days = n, threads = threads, unit = "days");
-        span_obs.add_items(n as u64);
-        let attrs = AttrTable::new(&world.topology, &peers);
-        // Pass 1: every day's per-monitor routing state, rendered by
-        // the shared engine (one sweep scratch per worker).
-        let states: Vec<Vec<Vec<(Prefix, Origin)>>> = {
-            let _pass = obs::span!("mrt_state_pass");
-            crate::par::map_indexed_local(
-                n,
-                threads,
-                || engine.scratch(),
-                |scratch, i| engine.per_monitor_routes(scratch, days[i]),
-            )
-        };
-        // Pass 2: encode RIBs and update diffs; day i's update file
-        // only needs states[i-1] and states[i], so this fans out too.
-        let rib_every = config.rib_every_days.max(1);
-        let encoded: Vec<Encoded> = {
-            let _pass = obs::span!("mrt_encode_pass");
-            crate::par::map_indexed(n, threads, |i| {
-                let rib = (i % rib_every == 0)
-                    .then(|| encode_rib(&attrs, config, &peers, days[i], &states[i]));
-                let upd = (i > 0).then(|| {
-                    encode_updates(&attrs, config, &peers, days[i], &states[i - 1], &states[i])
-                });
-                (rib, upd)
             })
         };
         Self::assemble(peers, days, encoded)
@@ -700,7 +653,7 @@ impl CollectorArchiveV2 {
             .load_rib(rib_date, stats)
             .ok_or(ArchiveError::NoRibAvailable(date))?;
 
-        let mut provenance = if rib_date == date {
+        let provenance = if rib_date == date {
             Provenance::Exact
         } else {
             Provenance::Reconstructed { rib_date }
@@ -719,27 +672,17 @@ impl CollectorArchiveV2 {
                     let Some((&next_rib, _)) = self.ribs.range(d..).next() else {
                         return Err(ArchiveError::NoRibAvailable(d));
                     };
+                    // `rib_date` is the latest RIB <= `date`, so this
+                    // one lies after the requested day.
                     let (p2, r2) = self
                         .load_rib(next_rib, stats)
                         .ok_or(ArchiveError::NoRibAvailable(next_rib))?;
-                    if next_rib <= date {
-                        // Resume reconstruction from the later RIB.
-                        routes = r2;
-                        debug_assert_eq!(p2.len(), peers.len());
-                        d = next_rib.succ();
-                        provenance = Provenance::Reconstructed { rib_date: next_rib };
-                        if next_rib == date {
-                            provenance = Provenance::Exact;
-                        }
-                    } else {
-                        // The only data is *after* the requested day.
-                        return Ok(DayView {
-                            date,
-                            provenance: Provenance::FallbackRib { rib_date: next_rib },
-                            peers: p2,
-                            peer_routes: r2,
-                        });
-                    }
+                    return Ok(DayView {
+                        date,
+                        provenance: Provenance::FallbackRib { rib_date: next_rib },
+                        peers: p2,
+                        peer_routes: r2,
+                    });
                 }
             }
         }
@@ -1240,12 +1183,16 @@ impl PeerDiff {
         self,
         attrs: &AttrTable<'_>,
         config: &ArchiveV2Config,
-        peer: &PeerEntry,
+        peers: &[PeerEntry],
         pi: usize,
-        pi32: u32,
         base_ts: u32,
         records: &mut Vec<TimestampedRecord>,
-    ) {
+    ) -> Result<(), Mrt2Error> {
+        let peer = &peers[pi];
+        let pi32 = u32::try_from(pi).map_err(|_| Mrt2Error::TooLong {
+            field: "peer index",
+            len: pi,
+        })?;
         let mut seq = 0u32;
         let mut ts = || {
             let t = base_ts + 60 + seq * 13 + pi32;
@@ -1283,71 +1230,14 @@ impl PeerDiff {
                 }),
             });
         }
+        Ok(())
     }
-}
-
-fn encode_updates(
-    attrs: &AttrTable<'_>,
-    config: &ArchiveV2Config,
-    peers: &[PeerEntry],
-    day: Date,
-    prev: &[Vec<(Prefix, Origin)>],
-    cur: &[Vec<(Prefix, Origin)>],
-) -> Result<Bytes, Mrt2Error> {
-    let base_ts = midnight(day);
-    let mut records = Vec::new();
-    for (pi, peer) in peers.iter().enumerate() {
-        let pi32 = u32::try_from(pi).map_err(|_| Mrt2Error::TooLong {
-            field: "peer index",
-            len: pi,
-        })?;
-        // Both states are sorted by prefix with at most one route per
-        // prefix (BGP best-path semantics), so the day-over-day diff
-        // is a linear merge-join — no per-peer hash maps.
-        let (prev_routes, cur_routes) = (&prev[pi], &cur[pi]);
-        let mut diff = PeerDiff::default();
-        let (mut a, mut b) = (0, 0);
-        while a < prev_routes.len() || b < cur_routes.len() {
-            match (prev_routes.get(a), cur_routes.get(b)) {
-                (Some((pp, _)), Some((cp, _))) if pp < cp => {
-                    diff.withdrawn.push(*pp);
-                    a += 1;
-                }
-                (Some((pp, _)), Some((cp, co))) if cp < pp => {
-                    diff.announce(*cp, co);
-                    b += 1;
-                }
-                (Some((_, po)), Some((cp, co))) => {
-                    if po != co {
-                        diff.announce(*cp, co);
-                    }
-                    a += 1;
-                    b += 1;
-                }
-                (Some((pp, _)), None) => {
-                    diff.withdrawn.push(*pp);
-                    a += 1;
-                }
-                (None, Some((cp, co))) => {
-                    diff.announce(*cp, co);
-                    b += 1;
-                }
-                (None, None) => break,
-            }
-        }
-        diff.emit(attrs, config, peer, pi, pi32, base_ts, &mut records);
-    }
-    records.sort_by_key(|r| r.timestamp);
-    encode_file(&records)
 }
 
 /// Delta-fed update encoding: the per-monitor [`SelChange`] lists from
 /// one [`RenderEngine::advance_state`] call already *are* the
 /// day-over-day diff (prefix-sorted, origin-change-only), so no
-/// merge-join over two full states is needed. Byte-identical to
-/// [`encode_updates`] on the same transition: withdraws arrive in the
-/// same prefix order and announcements group under the same
-/// origin-rendering keys.
+/// merge-join over two full states is needed.
 fn encode_updates_delta(
     attrs: &AttrTable<'_>,
     engine: &RenderEngine,
@@ -1358,19 +1248,15 @@ fn encode_updates_delta(
 ) -> Result<Bytes, Mrt2Error> {
     let base_ts = midnight(day);
     let mut records = Vec::new();
-    for (pi, peer) in peers.iter().enumerate() {
-        let pi32 = u32::try_from(pi).map_err(|_| Mrt2Error::TooLong {
-            field: "peer index",
-            len: pi,
-        })?;
+    for (pi, peer_changes) in changes[..peers.len()].iter().enumerate() {
         let mut diff = PeerDiff::default();
-        for c in &changes[pi] {
+        for c in peer_changes {
             match c.new {
                 Some(e) => diff.announce(c.prefix, engine.entity_origin(e)),
                 None => diff.withdrawn.push(c.prefix),
             }
         }
-        diff.emit(attrs, config, peer, pi, pi32, base_ts, &mut records);
+        diff.emit(attrs, config, peers, pi, base_ts, &mut records)?;
     }
     records.sort_by_key(|r| r.timestamp);
     encode_file(&records)
@@ -1584,25 +1470,7 @@ mod tests {
             let par =
                 CollectorArchiveV2::generate_with_threads(&w, &model, w.span, &cfg, threads)
                     .expect("archive encodes");
-            assert_eq!(par.peers(), seq.peers());
-            assert_eq!(
-                par.rib_dates().collect::<Vec<_>>(),
-                seq.rib_dates().collect::<Vec<_>>()
-            );
-            assert_eq!(
-                par.update_dates().collect::<Vec<_>>(),
-                seq.update_dates().collect::<Vec<_>>()
-            );
-            for d in seq.rib_dates() {
-                assert_eq!(par.rib_bytes(d), seq.rib_bytes(d), "RIB bytes differ on {d}");
-            }
-            for d in seq.update_dates() {
-                assert_eq!(
-                    par.update_bytes(d),
-                    seq.update_bytes(d),
-                    "update bytes differ on {d}"
-                );
-            }
+            archives_equal(&par, &seq);
         }
     }
 
@@ -1618,23 +1486,6 @@ mod tests {
         }
         for d in a.update_dates() {
             assert_eq!(a.update_bytes(d), b.update_bytes(d), "update bytes differ on {d}");
-        }
-    }
-
-    #[test]
-    fn delta_generation_matches_full_recompute_oracle() {
-        let (w, model, _) = setup();
-        let cfg = ArchiveV2Config {
-            rib_every_days: 7,
-            ..Default::default()
-        };
-        let oracle =
-            CollectorArchiveV2::generate_full_recompute_with_threads(&w, &model, w.span, &cfg, 1)
-                .expect("archive encodes");
-        for threads in [1, 2, 4] {
-            let delta = CollectorArchiveV2::generate_with_threads(&w, &model, w.span, &cfg, threads)
-                .expect("archive encodes");
-            archives_equal(&delta, &oracle);
         }
     }
 

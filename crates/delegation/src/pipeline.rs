@@ -14,7 +14,6 @@ use crate::as2org::As2OrgSeries;
 use crate::base::{infer_base_delegations, infer_from_pairs, origin_for_prefix, Delegation};
 use crate::config::InferenceConfig;
 use crate::extensions::{consistency_fill, filter_intra_org};
-use bgpsim::collector::CollectorArchive;
 use bgpsim::mrt2::LossyStats;
 use bgpsim::observe::ObservationDay;
 use bgpsim::updates::{CollectorArchiveV2, Provenance};
@@ -28,9 +27,6 @@ use std::sync::{Mutex, PoisonError};
 
 /// Where the pipeline reads observations from.
 pub enum PipelineInput<'a> {
-    /// A collector archive (bytes on "disk", decoded per day, with
-    /// forward fallback for missing days).
-    Archive(&'a CollectorArchive),
     /// An RFC 6396 MRT archive: periodic `TABLE_DUMP_V2` RIBs plus
     /// daily `BGP4MP` update files, reconstructed per the paper's
     /// procedure (the most faithful input path).
@@ -66,20 +62,10 @@ impl DailyDelegations {
     }
 }
 
-/// How the pipeline walks an MRT archive.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PipelineMode {
-    /// Walk the span with a persistent [`bgpsim::updates::ObservationSweep`]
-    /// and re-run steps (i)–(iii) only for prefixes whose observation
-    /// surface changed since the previous day. The default.
-    Incremental,
-    /// Reconstruct every day from scratch (`day_view` per day, full
-    /// steps (i)–(iv)) — the pre-incremental oracle path.
-    FullRecompute,
-}
-
 /// Run the pipeline over `span`.
 ///
+/// Each input has one walk: an MRT archive goes through the chunked
+/// incremental sweep, pre-rendered days through per-day inference.
 /// `as2org` is required when `config.filter_intra_org` is set; pass
 /// `None` to reproduce the baseline.
 pub fn run_pipeline(
@@ -87,20 +73,6 @@ pub fn run_pipeline(
     span: DateRange,
     config: &InferenceConfig,
     as2org: Option<&As2OrgSeries>,
-) -> DailyDelegations {
-    run_pipeline_with_mode(input, span, config, as2org, PipelineMode::Incremental)
-}
-
-/// [`run_pipeline`] with an explicit [`PipelineMode`]. The mode only
-/// affects [`PipelineInput::MrtArchive`]; both modes produce identical
-/// results (the incremental walk is proven against the full recompute
-/// by the determinism suite).
-pub fn run_pipeline_with_mode(
-    input: PipelineInput<'_>,
-    span: DateRange,
-    config: &InferenceConfig,
-    as2org: Option<&As2OrgSeries>,
-    mode: PipelineMode,
 ) -> DailyDelegations {
     assert!(
         !config.filter_intra_org || as2org.is_some(),
@@ -110,103 +82,45 @@ pub fn run_pipeline_with_mode(
     let sp = obs::span!("delegation_inference", days = span.num_days() as u64, unit = "days");
     sp.add_items(span.num_days() as u64);
 
-    if let (PipelineInput::MrtArchive(archive), PipelineMode::Incremental) = (&input, mode) {
-        return run_mrt_incremental(archive, span, config, as2org);
-    }
-
-    let mut fallback_days = Vec::new();
-    let mut missing_days = Vec::new();
-
-    // Materialize the day observations (archive decode or borrow).
-    let fetch_sp = obs::span!("fetch_observations");
-    let mut observations: Vec<Option<ObservationDay>> =
-        Vec::with_capacity(span.num_days() as usize);
     match input {
-        PipelineInput::Archive(archive) => {
-            for d in span.iter() {
-                match archive.fetch_day(d) {
-                    bgpsim::collector::DayData::Exact(obs) => observations.push(Some(obs)),
-                    bgpsim::collector::DayData::FallbackFrom(_, obs) => {
-                        fallback_days.push(d);
-                        observations.push(Some(obs));
-                    }
-                    bgpsim::collector::DayData::Unavailable => {
-                        missing_days.push(d);
-                        observations.push(None);
-                    }
-                }
-            }
-        }
-        PipelineInput::MrtArchive(archive) => {
-            for d in span.iter() {
-                match archive.day_view(d) {
-                    Ok(view) => {
-                        if let Provenance::FallbackRib { .. } = view.provenance {
-                            fallback_days.push(d);
-                        }
-                        observations.push(Some(view.to_observation_day()));
-                    }
-                    Err(_) => {
-                        missing_days.push(d);
-                        observations.push(None);
-                    }
-                }
-            }
-        }
-        PipelineInput::Days(days) => {
-            for (i, d) in span.iter().enumerate() {
-                match days.get(i) {
-                    Some(obs) => observations.push(Some(obs.clone())),
-                    None => {
-                        missing_days.push(d);
-                        observations.push(None);
-                    }
-                }
-            }
-        }
+        PipelineInput::MrtArchive(archive) => run_mrt_incremental(archive, span, config, as2org),
+        PipelineInput::Days(days) => run_days(days, span, config, as2org),
     }
+}
 
-    if !fallback_days.is_empty() {
-        obs::event!(
-            obs::Level::Warn,
-            "archive_fallback_days",
-            count = fallback_days.len(),
-        );
-    }
-    drop(fetch_sp);
+/// Per-day inference over pre-rendered days: steps (i)–(iv) and
+/// extension (iv) fan out over the worker pool, then extension (v)
+/// runs across days. Days past the end of `days` are missing.
+fn run_days(
+    days: &[ObservationDay],
+    span: DateRange,
+    config: &InferenceConfig,
+    as2org: Option<&As2OrgSeries>,
+) -> DailyDelegations {
+    let dates: Vec<Date> = span.iter().collect();
+    let n = dates.len();
+    let missing_days = dates.get(days.len()..).unwrap_or_default().to_vec();
 
     // Parallel per-day inference + extension (iv), merged in day order.
     let infer_sp = obs::span!("infer_days", unit = "routes");
-    let n = observations.len();
     if infer_sp.is_enabled() {
-        let routes: usize = observations
-            .iter()
-            .flatten()
-            .map(|o| o.routes.len())
-            .sum();
+        let routes: usize = days.iter().take(n).map(|o| o.routes.len()).sum();
         infer_sp.add_items(routes as u64);
     }
     let per_day: Vec<(Vec<Delegation>, usize)> = bgpsim::par::par_map(n, |gi| {
-        let Some(obs) = &observations[gi] else {
+        let Some(obs) = days.get(gi) else {
             return (Vec::new(), 0);
         };
-        let mut delegs = infer_base_delegations(obs, config);
-        let mut removed = 0;
-        if config.filter_intra_org {
-            let date = span.start + gi as i64;
-            let (kept, r) =
-                filter_intra_org(delegs, as2org.expect("checked above"), date);
-            delegs = kept;
-            removed = r;
+        let delegs = infer_base_delegations(obs, config);
+        if !config.filter_intra_org {
+            return (delegs, 0);
         }
-        (delegs, removed)
+        let date = dates[gi];
+        let (kept, removed) =
+            filter_intra_org(delegs, as2org.expect("checked above"), date);
+        (kept, removed)
     });
-    let mut days: Vec<Vec<Delegation>> = Vec::with_capacity(n);
-    let mut removed_counts: Vec<usize> = Vec::with_capacity(n);
-    for (d, r) in per_day {
-        days.push(d);
-        removed_counts.push(r);
-    }
+    let (days, removed_counts): (Vec<Vec<Delegation>>, Vec<usize>) = per_day.into_iter().unzip();
     drop(infer_sp);
 
     // Extension (v): sequential consistency fill across days.
@@ -220,7 +134,7 @@ pub fn run_pipeline_with_mode(
     DailyDelegations {
         start: span.start,
         days,
-        fallback_days,
+        fallback_days: Vec::new(),
         missing_days,
         intra_org_removed: removed_counts.iter().sum(),
     }
@@ -531,23 +445,28 @@ mod tests {
         }
     }
 
+    /// The world's RFC 6396 archive with weekly RIBs (Jan 1, 8, 15, 22,
+    /// 29, Feb 5, 12, 19, 26).
+    fn mrt_archive(w: &LeaseWorld) -> CollectorArchiveV2 {
+        let cfg = bgpsim::updates::ArchiveV2Config::default();
+        CollectorArchiveV2::generate(w, &VisibilityModel::default(), w.span, &cfg)
+            .expect("archive encodes")
+    }
+
     #[test]
     fn archive_input_with_gaps_uses_fallback() {
-        let (w, days) = world_and_days();
-        let mut archive = CollectorArchive::new();
-        for d in &days {
-            archive.store(d);
-        }
-        // Punch two holes mid-window.
-        archive.drop_day(date("2018-01-15"));
-        archive.drop_day(date("2018-02-10"));
+        let (w, _) = world_and_days();
+        let mut archive = mrt_archive(&w);
+        // Punch two holes mid-window, each the day before a RIB.
+        assert!(archive.drop_update_file(date("2018-01-21")));
+        assert!(archive.drop_update_file(date("2018-02-11")));
         let result = run_pipeline(
-            PipelineInput::Archive(&archive),
+            PipelineInput::MrtArchive(&archive),
             w.span,
             &InferenceConfig::baseline(),
             None,
         );
-        assert_eq!(result.fallback_days, vec![date("2018-01-15"), date("2018-02-10")]);
+        assert_eq!(result.fallback_days, vec![date("2018-01-21"), date("2018-02-11")]);
         assert!(result.missing_days.is_empty());
         assert_eq!(result.days.len() as i64, w.span.num_days());
     }
@@ -555,18 +474,28 @@ mod tests {
     #[test]
     fn trailing_gap_reported_missing() {
         let (w, days) = world_and_days();
-        let mut archive = CollectorArchive::new();
-        for d in &days[..days.len() - 3] {
-            archive.store(d);
+        let mut archive = mrt_archive(&w);
+        // No file covers the last three days.
+        assert!(archive.drop_rib(date("2018-02-26")));
+        for d in ["2018-02-26", "2018-02-27", "2018-02-28"] {
+            assert!(archive.drop_update_file(date(d)));
         }
         let result = run_pipeline(
-            PipelineInput::Archive(&archive),
+            PipelineInput::MrtArchive(&archive),
             w.span,
             &InferenceConfig::baseline(),
             None,
         );
         assert_eq!(result.missing_days.len(), 3);
         assert_eq!(result.missing_days[2], w.span.end);
+        // Past-the-end days are missing for pre-rendered input too.
+        let short = run_pipeline(
+            PipelineInput::Days(&days[..days.len() - 3]),
+            w.span,
+            &InferenceConfig::baseline(),
+            None,
+        );
+        assert_eq!(short.missing_days, result.missing_days);
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! rendered figures, CSV exports — may depend on the thread count.
 //! These tests pin that contract end to end.
 
-use bgpsim::mrt::encode_day;
-use bgpsim::observe::render_days_with_threads;
-use bgpsim::updates::{ArchiveV2Config, CollectorArchiveV2};
+use bgpsim::observe::{render_days_with_threads, ObservationDay};
+use bgpsim::updates::{ArchiveV2Config, CollectorArchiveV2, Provenance};
 use delegation::config::InferenceConfig;
-use delegation::pipeline::{run_pipeline, run_pipeline_with_mode, PipelineInput, PipelineMode};
+use delegation::pipeline::{run_pipeline, DailyDelegations, PipelineInput};
 use drywells::experiments::{build_bgp_study, fig6};
 use drywells::{csv, StudyConfig};
+use nettypes::date::{Date, DateRange};
 
 #[test]
 fn rendered_days_and_mrt_bytes_are_thread_count_invariant() {
@@ -24,15 +24,6 @@ fn rendered_days_and_mrt_bytes_are_thread_count_invariant() {
     for threads in [2, 4] {
         let par = render_days_with_threads(&world, &config.visibility, span, threads);
         assert_eq!(par, seq, "observation days differ at {threads} threads");
-        // The encoded MRT-like archive is byte-identical.
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(
-                encode_day(a).unwrap(),
-                encode_day(b).unwrap(),
-                "archive bytes differ on {}",
-                a.date
-            );
-        }
     }
 }
 
@@ -716,14 +707,6 @@ fn engine_observation_days_match_legacy_oracle_at_every_pool_size() {
         assert_eq!(engine_days.len(), oracle.len());
         for (a, b) in engine_days.iter().zip(&oracle) {
             assert_eq!(a, b, "observation day {} differs at {threads} threads", b.date);
-            // Compact-MRT bytes are identical too (path interning must
-            // not change the encoded surface).
-            assert_eq!(
-                encode_day(a).unwrap(),
-                encode_day(b).unwrap(),
-                "compact MRT bytes differ on {} at {threads} threads",
-                b.date
-            );
         }
     }
 }
@@ -743,55 +726,62 @@ fn engine_per_monitor_state_matches_legacy_oracle() {
 
 #[test]
 fn engine_rfc6396_archive_bytes_match_legacy_oracle_at_every_pool_size() {
-    let config = StudyConfig::quick_seeded(49);
-    let world = bgpsim::scenario::LeaseWorld::generate(&config.world);
-    let span = world.span;
-    let v2cfg = ArchiveV2Config::default();
+    for seed in [47, 49] {
+        let config = StudyConfig::quick_seeded(seed);
+        let world = bgpsim::scenario::LeaseWorld::generate(&config.world);
+        let span = world.span;
+        let v2cfg = ArchiveV2Config::default();
 
-    // Oracle archive: legacy states, legacy (uncached) encoders.
-    let days: Vec<_> = span.iter().collect();
-    let states: Vec<_> = days
-        .iter()
-        .map(|&d| legacy_oracle::per_monitor_routes(&world, &config.visibility, d))
-        .collect();
-    let peers = legacy_oracle::peer_table(&world, &config.visibility);
-    let rib_every = v2cfg.rib_every_days.max(1);
+        // Oracle archive: legacy states, legacy (uncached) encoders.
+        let days: Vec<_> = span.iter().collect();
+        let states: Vec<_> = days
+            .iter()
+            .map(|&d| legacy_oracle::per_monitor_routes(&world, &config.visibility, d))
+            .collect();
+        let peers = legacy_oracle::peer_table(&world, &config.visibility);
+        let rib_every = v2cfg.rib_every_days.max(1);
+        let rib_dates: Vec<_> = days.iter().copied().step_by(rib_every).collect();
 
-    for threads in [1, 2, 4] {
-        let archive = CollectorArchiveV2::generate_with_threads(
-            &world,
-            &config.visibility,
-            span,
-            &v2cfg,
-            threads,
-        )
-        .expect("archive encodes");
-        assert_eq!(archive.peers(), &peers[..]);
-        for (i, &d) in days.iter().enumerate() {
-            if i % rib_every == 0 {
-                let want = legacy_oracle::encode_rib(&world, &v2cfg, &peers, d, &states[i])
-                    .expect("oracle rib encodes");
-                assert_eq!(
-                    archive.rib_bytes(d),
-                    Some(&want),
-                    "RIB bytes differ on {d} at {threads} threads"
-                );
-            }
-            if i > 0 {
-                let want = legacy_oracle::encode_updates(
-                    &world,
-                    &v2cfg,
-                    &peers,
-                    d,
-                    &states[i - 1],
-                    &states[i],
-                )
-                .expect("oracle updates encode");
-                assert_eq!(
-                    archive.update_bytes(d),
-                    Some(&want),
-                    "update bytes differ on {d} at {threads} threads"
-                );
+        for threads in [1, 2, 4] {
+            let archive = CollectorArchiveV2::generate_with_threads(
+                &world,
+                &config.visibility,
+                span,
+                &v2cfg,
+                threads,
+            )
+            .expect("archive encodes");
+            assert_eq!(archive.peers(), &peers[..]);
+            // No file beyond the oracle's: a RIB every `rib_every` days,
+            // an update file on every day but the first.
+            assert_eq!(archive.rib_dates().collect::<Vec<_>>(), rib_dates);
+            assert_eq!(archive.update_dates().collect::<Vec<_>>(), days[1..]);
+            for (i, &d) in days.iter().enumerate() {
+                if i % rib_every == 0 {
+                    let want = legacy_oracle::encode_rib(&world, &v2cfg, &peers, d, &states[i])
+                        .expect("oracle rib encodes");
+                    assert_eq!(
+                        archive.rib_bytes(d),
+                        Some(&want),
+                        "RIB bytes differ on {d} at {threads} threads (seed {seed})"
+                    );
+                }
+                if i > 0 {
+                    let want = legacy_oracle::encode_updates(
+                        &world,
+                        &v2cfg,
+                        &peers,
+                        d,
+                        &states[i - 1],
+                        &states[i],
+                    )
+                    .expect("oracle updates encode");
+                    assert_eq!(
+                        archive.update_bytes(d),
+                        Some(&want),
+                        "update bytes differ on {d} at {threads} threads (seed {seed})"
+                    );
+                }
             }
         }
     }
@@ -824,20 +814,70 @@ fn fig6_outputs_match_legacy_oracle_rendering_at_every_pool_size() {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental-vs-full parity: the delta-fed archive encoder, the
-// persistent observation sweep, and the incremental delegation
-// pipeline must be invisible — every byte identical to the retained
-// full-recompute paths, at every worker count and for any chunking.
+// Incremental-vs-full parity: the persistent observation sweep and the
+// incremental delegation pipeline must be invisible — every byte
+// identical to a from-scratch `day_view` of every day, at every worker
+// count — and archive chunking must never change a byte.
 // ---------------------------------------------------------------------------
 
-/// Every RIB and update file of two archives, for whole-archive
+/// What `day_view` serves on every day of `span`, rebuilt from scratch:
+/// the full-recompute oracle's input. A day that cannot be served is
+/// empty and listed as missing; a forward-fallback day is listed too.
+struct OracleDays {
+    days: Vec<ObservationDay>,
+    fallback_days: Vec<Date>,
+    missing_days: Vec<Date>,
+}
+
+fn oracle_days(archive: &CollectorArchiveV2, span: DateRange) -> OracleDays {
+    let mut out = OracleDays {
+        days: Vec::new(),
+        fallback_days: Vec::new(),
+        missing_days: Vec::new(),
+    };
+    for d in span.iter() {
+        let day = match archive.day_view(d) {
+            Ok(view) => {
+                if let Provenance::FallbackRib { .. } = view.provenance {
+                    out.fallback_days.push(d);
+                }
+                view.to_observation_day()
+            }
+            Err(_) => {
+                out.missing_days.push(d);
+                ObservationDay {
+                    date: d,
+                    num_monitors: 0,
+                    routes: Vec::new(),
+                }
+            }
+        };
+        out.days.push(day);
+    }
+    out
+}
+
+/// The full-recompute oracle for `run_pipeline(MrtArchive)`: per-day
+/// inference over [`oracle_days`], with its fallback and missing days.
+fn full_recompute(
+    archive: &CollectorArchiveV2,
+    span: DateRange,
+    cfg: &InferenceConfig,
+) -> DailyDelegations {
+    let oracle = oracle_days(archive, span);
+    DailyDelegations {
+        fallback_days: oracle.fallback_days,
+        missing_days: oracle.missing_days,
+        ..run_pipeline(PipelineInput::Days(&oracle.days), span, cfg, None)
+    }
+}
+
+/// One file kind of an archive: every date with its bytes.
+type DatedFiles = Vec<(Date, bytes::Bytes)>;
+
+/// Every RIB and update file of an archive, for whole-archive
 /// equality checks (dates and bytes both directions).
-fn archive_files(
-    a: &CollectorArchiveV2,
-) -> (
-    Vec<(nettypes::date::Date, bytes::Bytes)>,
-    Vec<(nettypes::date::Date, bytes::Bytes)>,
-) {
+fn archive_files(a: &CollectorArchiveV2) -> (DatedFiles, DatedFiles) {
     (
         a.rib_dates()
             .map(|d| (d, a.rib_bytes(d).expect("listed rib").clone()))
@@ -846,37 +886,6 @@ fn archive_files(
             .map(|d| (d, a.update_bytes(d).expect("listed update").clone()))
             .collect(),
     )
-}
-
-#[test]
-fn delta_archive_matches_full_recompute_oracle_at_every_pool_size() {
-    let config = StudyConfig::quick_seeded(47);
-    let world = bgpsim::scenario::LeaseWorld::generate(&config.world);
-    let v2cfg = ArchiveV2Config::default();
-
-    let oracle = CollectorArchiveV2::generate_full_recompute_with_threads(
-        &world,
-        &config.visibility,
-        world.span,
-        &v2cfg,
-        1,
-    )
-    .expect("oracle encodes");
-    for threads in [1, 2, 4] {
-        let delta = CollectorArchiveV2::generate_with_threads(
-            &world,
-            &config.visibility,
-            world.span,
-            &v2cfg,
-            threads,
-        )
-        .expect("delta path encodes");
-        assert_eq!(
-            archive_files(&delta),
-            archive_files(&oracle),
-            "delta archive differs from the full-recompute oracle at {threads} threads"
-        );
-    }
 }
 
 #[test]
@@ -930,22 +939,10 @@ fn incremental_pipeline_matches_full_recompute_at_every_pool_size() {
     archive.drop_update_file(days[days.len() / 3]);
 
     let cfg = InferenceConfig::baseline();
-    let oracle = run_pipeline_with_mode(
-        PipelineInput::MrtArchive(&archive),
-        world.span,
-        &cfg,
-        None,
-        PipelineMode::FullRecompute,
-    );
+    let oracle = full_recompute(&archive, world.span, &cfg);
     for threads in ["1", "2", "4"] {
         std::env::set_var("DRYWELLS_THREADS", threads);
-        let inc = run_pipeline_with_mode(
-            PipelineInput::MrtArchive(&archive),
-            world.span,
-            &cfg,
-            None,
-            PipelineMode::Incremental,
-        );
+        let inc = run_pipeline(PipelineInput::MrtArchive(&archive), world.span, &cfg, None);
         assert_eq!(inc.days, oracle.days, "delegations differ at {threads} threads");
         assert_eq!(inc.fallback_days, oracle.fallback_days);
         assert_eq!(inc.missing_days, oracle.missing_days);
@@ -1052,22 +1049,10 @@ fn incremental_pipeline_matches_full_recompute_over_adversarial_ribs() {
     let (config, archive, _) = adversarial_rib_archive(55);
     let span = config.world.span;
     let cfg = InferenceConfig::baseline();
-    let oracle = run_pipeline_with_mode(
-        PipelineInput::MrtArchive(&archive),
-        span,
-        &cfg,
-        None,
-        PipelineMode::FullRecompute,
-    );
+    let oracle = full_recompute(&archive, span, &cfg);
     for threads in ["1", "2", "4"] {
         std::env::set_var("DRYWELLS_THREADS", threads);
-        let inc = run_pipeline_with_mode(
-            PipelineInput::MrtArchive(&archive),
-            span,
-            &cfg,
-            None,
-            PipelineMode::Incremental,
-        );
+        let inc = run_pipeline(PipelineInput::MrtArchive(&archive), span, &cfg, None);
         assert_eq!(
             inc.days, oracle.days,
             "delegations differ at {threads} threads"
@@ -1108,21 +1093,15 @@ fn incremental_pipeline_reports_damaged_update_records() {
     let before = skipped.get();
     let inc = run_pipeline(PipelineInput::MrtArchive(&archive), world.span, &cfg, None);
     assert!(skipped.get() > before, "the damaged record went unreported");
-    let full = run_pipeline_with_mode(
-        PipelineInput::MrtArchive(&archive),
-        world.span,
-        &cfg,
-        None,
-        PipelineMode::FullRecompute,
-    );
+    let full = full_recompute(&archive, world.span, &cfg);
     assert_eq!(inc.days, full.days);
 }
 
 #[test]
 fn fig6_csv_identical_between_incremental_and_full_recompute() {
     // End to end over the decoded-archive surface: figure text and CSV
-    // from the incremental pipeline must match the forced
-    // full-recompute oracle byte for byte.
+    // from the incremental pipeline must match per-day inference over
+    // the full-recompute oracle's days byte for byte.
     let config = StudyConfig::quick_seeded(51);
     let study = build_bgp_study(&config);
     let archive = CollectorArchiveV2::generate(
@@ -1133,16 +1112,9 @@ fn fig6_csv_identical_between_incremental_and_full_recompute() {
     )
     .expect("archive encodes");
 
-    let full = fig6::run_with_inputs_mode(
-        &study,
-        || PipelineInput::MrtArchive(&archive),
-        PipelineMode::FullRecompute,
-    );
-    let inc = fig6::run_with_inputs_mode(
-        &study,
-        || PipelineInput::MrtArchive(&archive),
-        PipelineMode::Incremental,
-    );
+    let oracle = oracle_days(&archive, study.world.span);
+    let full = fig6::run_with_inputs(&study, || PipelineInput::Days(&oracle.days));
+    let inc = fig6::run_with_inputs(&study, || PipelineInput::MrtArchive(&archive));
     assert_eq!(inc.rendered, full.rendered, "figure text differs");
     assert_eq!(csv::fig6_csv(&inc), csv::fig6_csv(&full), "fig6 CSV differs");
 }

@@ -27,7 +27,6 @@ use nettypes::asn::{Asn, Origin};
 use nettypes::date::{Date, DateRange};
 use nettypes::prefix::Prefix;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
 
 /// Errors from archive reconstruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,13 +89,10 @@ impl DayView {
     /// surface: distinct (prefix, origin) pairs with the number of
     /// peers holding each.
     pub fn to_observation_day(&self) -> ObservationDay {
-        let mut counts: BTreeMap<(Prefix, String), (Origin, u16)> = BTreeMap::new();
+        let mut counts: BTreeMap<(Prefix, &Origin), u16> = BTreeMap::new();
         for routes in &self.peer_routes {
             for (p, o) in routes {
-                let e = counts
-                    .entry((*p, format!("{o}")))
-                    .or_insert_with(|| (o.clone(), 0));
-                e.1 += 1;
+                *counts.entry((*p, o)).or_default() += 1;
             }
         }
         ObservationDay {
@@ -105,9 +101,9 @@ impl DayView {
             num_monitors: self.peers.len() as u16,
             routes: counts
                 .into_iter()
-                .map(|((prefix, _), (origin, monitors_seen))| RouteObservation {
+                .map(|((prefix, origin), monitors_seen)| RouteObservation {
                     prefix,
-                    origin,
+                    origin: origin.clone(),
                     monitors_seen,
                     path: Vec::new().into(), // real archives carry no ground truth
                     class: None,
@@ -701,8 +697,6 @@ impl CollectorArchiveV2 {
             peers: Vec::new(),
             routes: Vec::new(),
             counts: BTreeMap::new(),
-            fmt: HashMap::new(),
-            empty_key: Arc::from(""),
             anchor: Anchor::None,
             full_rebuilds: 0,
             rib_merges: 0,
@@ -762,13 +756,9 @@ pub struct ObservationSweep<'a> {
     archive: &'a CollectorArchiveV2,
     peers: Vec<PeerEntry>,
     routes: PeerRoutes,
-    /// `(prefix, origin rendering) → (origin, peers holding it)` — the
-    /// same aggregation [`DayView::to_observation_day`] builds, kept
-    /// incrementally. Keyed by the rendering because [`Origin`] is not
-    /// `Ord`; `Arc<str>` keys are interned via `fmt`.
-    counts: BTreeMap<(Prefix, Arc<str>), (Origin, u16)>,
-    fmt: HashMap<Origin, Arc<str>>,
-    empty_key: Arc<str>,
+    /// `(prefix, origin) → peers holding it` — the same aggregation
+    /// [`DayView::to_observation_day`] builds, kept incrementally.
+    counts: BTreeMap<(Prefix, Origin), u16>,
     anchor: Anchor,
     full_rebuilds: usize,
     rib_merges: usize,
@@ -778,37 +768,16 @@ pub struct ObservationSweep<'a> {
     rib_lists: RibLists,
 }
 
-fn okey(fmt: &mut HashMap<Origin, Arc<str>>, o: &Origin) -> Arc<str> {
-    if let Some(s) = fmt.get(o) {
-        return s.clone();
-    }
-    let s: Arc<str> = format!("{o}").into();
-    fmt.insert(o.clone(), s.clone());
-    s
+fn count_inc(counts: &mut BTreeMap<(Prefix, Origin), u16>, p: Prefix, o: &Origin) {
+    *counts.entry((p, o.clone())).or_default() += 1;
 }
 
-fn count_inc(
-    counts: &mut BTreeMap<(Prefix, Arc<str>), (Origin, u16)>,
-    fmt: &mut HashMap<Origin, Arc<str>>,
-    p: Prefix,
-    o: &Origin,
-) {
-    let k = okey(fmt, o);
-    let e = counts.entry((p, k)).or_insert_with(|| (o.clone(), 0));
-    e.1 += 1;
-}
-
-fn count_dec(
-    counts: &mut BTreeMap<(Prefix, Arc<str>), (Origin, u16)>,
-    fmt: &mut HashMap<Origin, Arc<str>>,
-    p: Prefix,
-    o: &Origin,
-) {
-    let k = okey(fmt, o);
-    if let Some(e) = counts.get_mut(&(p, k.clone())) {
-        e.1 -= 1;
-        if e.1 == 0 {
-            counts.remove(&(p, k));
+fn count_dec(counts: &mut BTreeMap<(Prefix, Origin), u16>, p: Prefix, o: Origin) {
+    let key = (p, o);
+    if let Some(n) = counts.get_mut(&key) {
+        *n -= 1;
+        if *n == 0 {
+            counts.remove(&key);
         }
     }
 }
@@ -876,18 +845,19 @@ impl<'a> ObservationSweep<'a> {
     }
 
     /// The aggregated observation surface for the day last served.
-    pub fn counts(&self) -> &BTreeMap<(Prefix, Arc<str>), (Origin, u16)> {
+    pub fn counts(&self) -> &BTreeMap<(Prefix, Origin), u16> {
         &self.counts
     }
 
-    /// One prefix's observation rows, in origin-rendering order — the
-    /// same order the rows appear in
-    /// [`DayView::to_observation_day`]'s output.
+    /// One prefix's observation rows, in origin order — the order the
+    /// rows appear in [`DayView::to_observation_day`]'s output.
     pub fn routes_for(&self, p: Prefix) -> impl Iterator<Item = (&Origin, u16)> + '_ {
+        // `Single(AS0)` is the least origin, so the range starts at the
+        // prefix's first row.
         self.counts
-            .range((p, self.empty_key.clone())..)
+            .range((p, Origin::Single(Asn::ZERO))..)
             .take_while(move |((q, _), _)| *q == p)
-            .map(|(_, (o, n))| (o, *n))
+            .map(|((_, o), n)| (o, *n))
     }
 
     /// Materialize the current surface as an [`ObservationDay`] —
@@ -899,7 +869,7 @@ impl<'a> ObservationSweep<'a> {
             routes: self
                 .counts
                 .iter()
-                .map(|((prefix, _), (origin, monitors_seen))| RouteObservation {
+                .map(|((prefix, origin), monitors_seen)| RouteObservation {
                     prefix: *prefix,
                     origin: origin.clone(),
                     monitors_seen: *monitors_seen,
@@ -997,27 +967,21 @@ impl<'a> ObservationSweep<'a> {
             return None;
         }
         self.lossy.merge(&stats);
-        let Self {
-            ref mut routes,
-            ref mut counts,
-            ref mut fmt,
-            ref rib_lists,
-            ..
-        } = *self;
+        let counts = &mut self.counts;
         let mut edits = Vec::new();
         let mut touched = Vec::new();
-        for (state, rib) in routes.iter_mut().zip(rib_lists) {
+        for (state, rib) in self.routes.iter_mut().zip(&self.rib_lists) {
             diff_routes(state, rib, &mut edits);
             for (p, new) in edits.drain(..) {
                 let old = match new {
                     Some(o) => {
-                        count_inc(counts, fmt, p, &o);
+                        count_inc(counts, p, &o);
                         state.insert(p, o)
                     }
                     None => state.remove(&p),
                 };
                 if let Some(old) = old {
-                    count_dec(counts, fmt, p, &old);
+                    count_dec(counts, p, old);
                 }
                 touched.push(p);
             }
@@ -1033,16 +997,10 @@ impl<'a> ObservationSweep<'a> {
     }
 
     fn rebuild_counts(&mut self) {
-        let Self {
-            ref routes,
-            ref mut counts,
-            ref mut fmt,
-            ..
-        } = *self;
-        counts.clear();
-        for peer in routes {
+        self.counts.clear();
+        for peer in &self.routes {
             for (p, o) in peer {
-                count_inc(counts, fmt, *p, o);
+                count_inc(&mut self.counts, *p, o);
             }
         }
     }
@@ -1060,12 +1018,7 @@ impl<'a> ObservationSweep<'a> {
             .map(|(i, p)| ((p.ip, p.asn), i))
             .collect();
         let mut touched: BTreeSet<Prefix> = BTreeSet::new();
-        let Self {
-            ref mut routes,
-            ref mut counts,
-            ref mut fmt,
-            ..
-        } = *self;
+        let (routes, counts) = (&mut self.routes, &mut self.counts);
         for rec in records {
             let MrtRecord::Bgp4mpMessage(m) = rec.record else {
                 continue;
@@ -1078,7 +1031,7 @@ impl<'a> ObservationSweep<'a> {
             };
             for w in &u.withdrawn {
                 if let Some(old) = routes[pi].remove(w) {
-                    count_dec(counts, fmt, *w, &old);
+                    count_dec(counts, *w, old);
                     touched.insert(*w);
                 }
             }
@@ -1088,10 +1041,10 @@ impl<'a> ObservationSweep<'a> {
                         match routes[pi].insert(*p, origin.clone()) {
                             Some(old) if old == origin => {}
                             old => {
-                                if let Some(o) = &old {
-                                    count_dec(counts, fmt, *p, o);
+                                if let Some(o) = old {
+                                    count_dec(counts, *p, o);
                                 }
-                                count_inc(counts, fmt, *p, &origin);
+                                count_inc(counts, *p, &origin);
                                 touched.insert(*p);
                             }
                         }

@@ -1,13 +1,12 @@
 //! Steps (i)–(iv) of the per-day inference.
 
 use crate::config::InferenceConfig;
-use bgpsim::observe::ObservationDay;
+use bgpsim::observe::{ObservationDay, RouteObservation};
 use nettypes::asn::{Asn, Origin};
 use nettypes::bogons::{route_is_clean, BogonFilter};
 use nettypes::prefix::Prefix;
 use nettypes::trie::PrefixTrie;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// An inferred delegation `P'_{S,T}`: S originates the covering P and
 /// delegates the more-specific P' to T.
@@ -34,108 +33,79 @@ impl Delegation {
 /// Sanitize and reduce a day's observations to globally-visible,
 /// single-origin prefix-origin pairs (steps i–iii plus the route
 /// sanitization from §4: no bogons, no reserved ASNs, no AS-path
-/// loops).
+/// loops), sorted by prefix.
 pub fn visible_prefix_origins(
     day: &ObservationDay,
     config: &InferenceConfig,
 ) -> Vec<(Prefix, Asn)> {
-    let threshold = (config.visibility_threshold * day.num_monitors as f64).ceil() as u16;
-    let bogons = BogonFilter::new();
-
-    // prefix → origins surviving visibility + sanitization.
-    let mut origins: HashMap<Prefix, Vec<Asn>> = HashMap::new();
-    let mut saw_as_set: HashMap<Prefix, bool> = HashMap::new();
-    for r in &day.routes {
-        if r.monitors_seen < threshold.max(1) {
-            continue; // step (ii)
-        }
-        match &r.origin {
-            Origin::Set(_) => {
-                if config.drop_as_sets {
-                    saw_as_set.insert(r.prefix, true); // step (iii), AS_SET
-                }
-            }
-            Origin::Single(asn) => {
-                if !route_is_clean(&bogons, &r.prefix, &r.path) {
-                    continue;
-                }
-                // For routes without a rendered path, still check the
-                // origin against the reserved table.
-                if r.path.is_empty() && asn.is_reserved() {
-                    continue;
-                }
-                let v = origins.entry(r.prefix).or_default();
-                if !v.contains(asn) {
-                    v.push(*asn);
-                }
-            }
-        }
-    }
-
-    origins
+    let mut rows: Vec<&RouteObservation> = day.routes.iter().collect();
+    rows.sort_by_key(|r| r.prefix);
+    let rows = rows
         .into_iter()
-        .filter(|(p, asns)| {
-            if config.drop_as_sets && saw_as_set.get(p).copied().unwrap_or(false) {
-                return false;
-            }
-            if config.drop_moas && asns.len() > 1 {
-                return false; // step (iii), MOAS
-            }
-            !asns.is_empty()
-        })
-        .map(|(p, asns)| (p, asns[0]))
+        .map(|r| (r.prefix, &r.origin, r.monitors_seen, &r.path[..]));
+    reduce_prefix_groups(&BogonFilter::new(), config.min_monitors(day.num_monitors), rows)
         .collect()
 }
 
-/// Steps (i)–(iii) for a single prefix, fed its observation rows in
-/// day-surface order (ascending origin rendering, the order archive-
-/// derived observation days list them). Returns the surviving origin,
-/// or `None` when the prefix is dropped.
+/// [`origin_for_prefix`] over each run of same-prefix rows: the
+/// surviving `(prefix, origin)` pairs, in run order. Rows must be
+/// grouped by prefix, as in any prefix-sorted surface.
+pub(crate) fn reduce_prefix_groups<'a>(
+    bogons: &'a BogonFilter,
+    min_seen: u16,
+    rows: impl Iterator<Item = (Prefix, &'a Origin, u16, &'a [Asn])> + 'a,
+) -> impl Iterator<Item = (Prefix, Asn)> + 'a {
+    let mut rows = rows.peekable();
+    std::iter::from_fn(move || loop {
+        let p = rows.peek()?.0;
+        let group = std::iter::from_fn(|| rows.next_if(|r| r.0 == p));
+        let group = group.map(|(_, origin, seen, path)| (origin, seen, path));
+        if let Some(a) = origin_for_prefix(bogons, min_seen, p, group) {
+            return Some((p, a));
+        }
+    })
+}
+
+/// Steps (ii)–(iii) plus the §4 route sanitization for one prefix,
+/// fed its `(origin, monitors seen, AS path)` rows in any order (an
+/// archive surface carries no paths and passes `&[]`).
 ///
-/// Matches [`visible_prefix_origins`] exactly for observation days
-/// without rendered paths (the archive surface carries none): the
-/// visibility threshold, AS_SET and MOAS handling, bogon-prefix
-/// sanitization, and the reserved-origin check are the same, and the
-/// first-surviving-origin MOAS pick follows the row order.
+/// A row seen by fewer than `min_seen` monitors is ignored (step ii),
+/// and so is a single-origin row whose prefix is bogon, whose path has
+/// a reserved ASN or a loop, or whose origin is reserved. The prefix
+/// is dropped (`None`) when a remaining row is an AS_SET or the
+/// remaining rows name more than one origin AS (step iii); otherwise
+/// its one origin survives. Every row is consumed either way.
 pub fn origin_for_prefix<'a>(
     bogons: &BogonFilter,
-    config: &InferenceConfig,
-    threshold: u16,
+    min_seen: u16,
     prefix: Prefix,
-    rows: impl IntoIterator<Item = (&'a Origin, u16)>,
+    rows: impl IntoIterator<Item = (&'a Origin, u16, &'a [Asn])>,
 ) -> Option<Asn> {
-    let mut asns: Vec<Asn> = Vec::new();
-    let mut saw_as_set = false;
-    for (origin, seen) in rows {
-        if seen < threshold.max(1) {
+    let mut origin = None;
+    let mut dropped = false;
+    for (o, seen, path) in rows {
+        if seen < min_seen {
             continue; // step (ii)
         }
-        match origin {
-            Origin::Set(_) => {
-                if config.drop_as_sets {
-                    saw_as_set = true; // step (iii), AS_SET
-                }
-            }
+        match o {
+            Origin::Set(_) => dropped = true, // step (iii), AS_SET
             Origin::Single(asn) => {
-                if !route_is_clean(bogons, &prefix, &[]) {
+                if !route_is_clean(bogons, &prefix, path) || asn.is_reserved() {
                     continue;
                 }
-                if asn.is_reserved() {
-                    continue;
+                if origin.is_some_and(|a| a != *asn) {
+                    dropped = true; // step (iii), MOAS
                 }
-                if !asns.contains(asn) {
-                    asns.push(*asn);
-                }
+                origin = Some(*asn);
             }
         }
     }
-    if saw_as_set {
-        return None;
+    if dropped {
+        None
+    } else {
+        origin
     }
-    if config.drop_moas && asns.len() > 1 {
-        return None; // step (iii), MOAS
-    }
-    asns.first().copied()
 }
 
 /// Step (iv) on already-reduced pairs: the delegator of P' is the
@@ -173,7 +143,6 @@ pub fn infer_base_delegations(day: &ObservationDay, config: &InferenceConfig) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpsim::observe::RouteObservation;
     use nettypes::date::Date;
     use nettypes::prefix::pfx;
 
@@ -332,54 +301,117 @@ mod tests {
 
     proptest::proptest! {
         /// The trie-based inference equals an O(n²) brute-force
-        /// reference implementation of steps (i)–(iv) on arbitrary
-        /// observation days (clean address space and ASNs, so the
-        /// sanitization layer is identity).
+        /// reference implementation of steps (i)–(iv) and the §4
+        /// sanitization, each rule written out on its own, on arbitrary
+        /// observation days: AS_SET and MOAS prefixes, reserved
+        /// origins, bogon prefixes, and paths with prepends, loops or
+        /// reserved hops. The result does not depend on row order.
         #[test]
         fn prop_matches_bruteforce_reference(
             routes in proptest::collection::vec(
-                (0u32..(1 << 18), 16u8..=28, 1000u32..1060, 1u16..=40),
+                (
+                    // 64.0.0.0/8 (clean) three times in four, else 10.0.0.0/8 (bogon).
+                    proptest::sample::select(vec![0x4000_0000u32, 0x4000_0000, 0x4000_0000, 0x0A00_0000]),
+                    0u32..32,
+                    proptest::sample::select(vec![16u8, 20, 22, 24]),
+                    // origin kind: 0 = AS_SET, 1 = reserved ASN, else a
+                    // public ASN from a small pool (so MOAS is common).
+                    (0u8..10, 1000u32..1006),
+                    1u16..=40,
+                    // path kind: < 3 = no path, 5 = reserved hop, else
+                    // hops drawn from a small pool (prepends and loops).
+                    (0u8..6, proptest::collection::vec(2000u32..2004, 0..4)),
+                    proptest::any::<u32>(),
+                ),
                 0..40
             ),
             threshold in proptest::sample::select(vec![0.1f64, 0.5, 0.9]),
         ) {
-            use std::collections::HashMap;
-            // Build the day inside 64.0.0.0/8 (never bogon).
-            let day = day(routes
+            use std::collections::BTreeSet;
+            let rows: Vec<(u32, RouteObservation)> = routes
                 .iter()
-                .map(|&(net, len, origin, seen)| RouteObservation {
-                    prefix: Prefix::new_unchecked_masked(0x4000_0000 | net, len),
-                    origin: Origin::Single(Asn(origin)),
-                    monitors_seen: seen,
-                    path: vec![].into(),
-                    class: None,
+                .map(|(space, k, len, (kind, asn), seen, (path_kind, hops), key)| {
+                    let origin = match kind {
+                        0 => Origin::Set(vec![Asn(*asn), Asn(asn + 1)]),
+                        1 => Origin::Single(Asn(64512 + asn % 8)),
+                        _ => Origin::Single(Asn(*asn)),
+                    };
+                    let mut path: Vec<Asn> = Vec::new();
+                    if let (Origin::Single(o), 3..) = (&origin, path_kind) {
+                        path.extend(hops.iter().map(|&h| Asn(h)));
+                        if *path_kind == 5 {
+                            path.push(Asn(64513));
+                        }
+                        path.push(*o);
+                    }
+                    let route = RouteObservation {
+                        prefix: Prefix::new_unchecked_masked(space | (k << 11), *len),
+                        origin,
+                        monitors_seen: *seen,
+                        path: path.into(),
+                        class: None,
+                    };
+                    (*key, route)
                 })
-                .collect());
+                .collect();
+            let day = day(rows.iter().map(|(_, r)| r.clone()).collect());
             let cfg = InferenceConfig {
                 visibility_threshold: threshold,
                 ..InferenceConfig::baseline()
             };
             let fast = infer_base_delegations(&day, &cfg);
 
+            // Any permutation of the rows infers the same delegations.
+            let mut shuffled = rows.clone();
+            shuffled.sort_by_key(|(key, _)| *key);
+            let permuted = ObservationDay {
+                routes: shuffled.into_iter().map(|(_, r)| r).collect(),
+                ..day.clone()
+            };
+            proptest::prop_assert_eq!(&infer_base_delegations(&permuted, &cfg), &fast);
+
             // --- brute force ---
-            let min_seen = (threshold * day.num_monitors as f64).ceil().max(1.0) as u16;
-            let mut origins: HashMap<Prefix, Vec<Asn>> = HashMap::new();
-            for r in &day.routes {
-                if r.monitors_seen < min_seen {
+            let min_seen = ((threshold * 40.0).ceil() as u16).max(1);
+            let bogon = |p: &Prefix| pfx("10.0.0.0/8").covers(p);
+            // A loop: one ASN in two runs separated by another ASN.
+            let has_loop = |path: &[Asn]| {
+                (0..path.len()).any(|i| {
+                    (i + 1..path.len())
+                        .any(|j| path[i] == path[j] && path[i..j].iter().any(|&a| a != path[i]))
+                })
+            };
+            let prefixes: BTreeSet<Prefix> = day.routes.iter().map(|r| r.prefix).collect();
+            let mut pairs: Vec<(Prefix, Asn)> = Vec::new();
+            for p in prefixes {
+                // Step (ii): globally visible rows of this prefix.
+                let visible: Vec<&RouteObservation> = day
+                    .routes
+                    .iter()
+                    .filter(|r| r.prefix == p && r.monitors_seen >= min_seen)
+                    .collect();
+                // Step (iii), AS_SET: any visible AS_SET drops the prefix.
+                if visible.iter().any(|r| matches!(r.origin, Origin::Set(_))) {
                     continue;
                 }
-                if let Origin::Single(a) = &r.origin {
-                    let v = origins.entry(r.prefix).or_default();
-                    if !v.contains(a) {
-                        v.push(*a);
+                // §4 sanitization: bogon prefix, reserved origin,
+                // reserved hop, path loop.
+                let mut origins: BTreeSet<Asn> = BTreeSet::new();
+                for r in visible {
+                    let Origin::Single(a) = r.origin else { continue };
+                    if bogon(&p)
+                        || a.is_reserved()
+                        || r.path.iter().any(Asn::is_reserved)
+                        || has_loop(&r.path)
+                    {
+                        continue;
                     }
+                    origins.insert(a);
+                }
+                // Step (iii), MOAS: exactly one clean origin survives.
+                if origins.len() == 1 {
+                    pairs.push((p, origins.into_iter().next().unwrap()));
                 }
             }
-            let pairs: Vec<(Prefix, Asn)> = origins
-                .iter()
-                .filter(|(_, v)| v.len() == 1)
-                .map(|(p, v)| (*p, v[0]))
-                .collect();
             let mut slow = Vec::new();
             for &(p, t) in &pairs {
                 // Most specific covering pair with a different origin.
@@ -410,5 +442,19 @@ mod tests {
         ]);
         let pairs = visible_prefix_origins(&d, &InferenceConfig::baseline());
         assert_eq!(pairs.len(), 2);
+    }
+
+    #[test]
+    fn reduced_pairs_are_sorted_by_prefix() {
+        // Twenty prefixes listed in descending order.
+        let routes = (0..20u32)
+            .rev()
+            .map(|i| obs(&format!("64.{i}.0.0/16"), 1000 + i, 40))
+            .collect();
+        let d = day(routes);
+        let pairs = visible_prefix_origins(&d, &InferenceConfig::baseline());
+        assert_eq!(pairs.len(), 20);
+        assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "{pairs:?}");
+        assert_eq!(pairs, visible_prefix_origins(&d, &InferenceConfig::baseline()));
     }
 }

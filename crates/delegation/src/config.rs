@@ -3,16 +3,15 @@
 use serde::{Deserialize, Serialize};
 
 /// Knobs of the delegation-inference algorithm.
+///
+/// Step (iii) has none: AS_SET-originated and MOAS prefixes are always
+/// dropped.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct InferenceConfig {
     /// Fraction of monitors that must see a prefix-origin pair
     /// (step ii). The paper uses 0.5 and notes any threshold between
     /// 10 % and 90 % yields negligible differences.
     pub visibility_threshold: f64,
-    /// Drop AS_SET-originated prefixes (step iii).
-    pub drop_as_sets: bool,
-    /// Drop prefixes originated by multiple ASes (step iii).
-    pub drop_moas: bool,
     /// Extension (iv): drop delegations between ASes of the same
     /// organization.
     pub filter_intra_org: bool,
@@ -27,8 +26,6 @@ impl InferenceConfig {
     pub fn baseline() -> InferenceConfig {
         InferenceConfig {
             visibility_threshold: 0.5,
-            drop_as_sets: true,
-            drop_moas: true,
             filter_intra_org: false,
             consistency_fill_days: None,
         }
@@ -41,6 +38,15 @@ impl InferenceConfig {
             consistency_fill_days: Some(10),
             ..InferenceConfig::baseline()
         }
+    }
+
+    /// The fewest monitors that must see a prefix-origin pair on a day
+    /// with `num_monitors` monitors for it to pass step (ii); at least
+    /// one.
+    pub(crate) fn min_monitors(&self, num_monitors: u16) -> u16 {
+        // lint:allow(L1): a fraction of a u16 count; float-to-int `as` saturates beyond
+        let min = (self.visibility_threshold * f64::from(num_monitors)).ceil() as u16;
+        min.max(1)
     }
 }
 
@@ -60,7 +66,6 @@ mod tests {
         assert!(!b.filter_intra_org);
         assert_eq!(b.consistency_fill_days, None);
         assert_eq!(b.visibility_threshold, 0.5);
-        assert!(b.drop_as_sets && b.drop_moas);
 
         let e = InferenceConfig::extended();
         assert!(e.filter_intra_org);

@@ -10,7 +10,7 @@
 //! 2. drop pairs seen by fewer than half of all BGP monitors
 //!    (limits local misconfigurations and locally-spread hijacks),
 //! 3. drop pairs whose prefix is originated by an AS_SET or by
-//!    multiple ASes (MOAS),
+//!    multiple ASes (MOAS), always,
 //! 4. infer a delegation `P'_{S,T}` when S originates P, T originates
 //!    P', and P' is a more-specific of P,
 //!
@@ -27,8 +27,8 @@
 //! [`config::InferenceConfig`] presets let every analysis run both.
 //!
 //! Modules: [`as2org`] (mapping snapshots), [`base`] (steps 1–4),
-//! [`extensions`] (iv and v), [`pipeline`] (daily driver over a
-//! collector archive), [`metrics`] (Figure 6 series), [`compare`]
+//! [`extensions`] (iv and v), [`pipeline`] (one daily walk over a
+//! collector archive or pre-rendered days), [`metrics`] (Figure 6 series), [`compare`]
 //! (BGP vs RDAP coverage, §4), [`eval`] (precision/recall against the
 //! simulator's ground truth), and [`combine`] — the §7 future-work
 //! estimator that merges BGP, RPKI and RDAP perspectives.

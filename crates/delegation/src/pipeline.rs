@@ -5,18 +5,21 @@
 //! file fallback), run steps (i)–(iv), apply extension (iv) per day
 //! and extension (v) across days.
 //!
-//! Per-day inference is embarrassingly parallel; days are fanned out
-//! over the shared worker pool (`bgpsim::par`) before the sequential
-//! consistency fill. Results merge in day order, so parallel runs are
-//! identical to sequential ones.
+//! Both inputs share one walk. The span is split into one contiguous
+//! chunk of days per worker of the shared pool (`bgpsim::par`), since
+//! the archive sweep carries state from day to day, and the chunks run
+//! before the sequential consistency fill. Results merge in day order,
+//! so parallel runs are identical to sequential ones.
 
 use crate::as2org::As2OrgSeries;
-use crate::base::{infer_base_delegations, infer_from_pairs, origin_for_prefix, Delegation};
+use crate::base::{
+    infer_from_pairs, origin_for_prefix, reduce_prefix_groups, visible_prefix_origins, Delegation,
+};
 use crate::config::InferenceConfig;
 use crate::extensions::{consistency_fill, filter_intra_org};
 use bgpsim::mrt2::LossyStats;
 use bgpsim::observe::ObservationDay;
-use bgpsim::updates::{CollectorArchiveV2, Provenance};
+use bgpsim::updates::{CollectorArchiveV2, ObservationSweep, Provenance};
 use nettypes::asn::Asn;
 use nettypes::bogons::BogonFilter;
 use nettypes::date::{Date, DateRange};
@@ -64,10 +67,16 @@ impl DailyDelegations {
 
 /// Run the pipeline over `span`.
 ///
-/// Each input has one walk: an MRT archive goes through the chunked
-/// incremental sweep, pre-rendered days through per-day inference.
+/// Both inputs go through one chunked walk; they differ only in how a
+/// day's prefix-origin pairs are refreshed.
 /// `as2org` is required when `config.filter_intra_org` is set; pass
 /// `None` to reproduce the baseline.
+///
+/// The span is split into one contiguous day range per worker
+/// (`bgpsim::par::chunk_ranges`). Each worker reduces its days through
+/// steps (i)–(iii), then runs step (iv) and extension (iv) per day;
+/// chunk results merge in day order, so any worker count produces the
+/// same result. Extension (v) then runs across days.
 pub fn run_pipeline(
     input: PipelineInput<'_>,
     span: DateRange,
@@ -82,46 +91,89 @@ pub fn run_pipeline(
     let sp = obs::span!("delegation_inference", days = span.num_days() as u64, unit = "days");
     sp.add_items(span.num_days() as u64);
 
-    match input {
-        PipelineInput::MrtArchive(archive) => run_mrt_incremental(archive, span, config, as2org),
-        PipelineInput::Days(days) => run_days(days, span, config, as2org),
-    }
-}
-
-/// Per-day inference over pre-rendered days: steps (i)–(iv) and
-/// extension (iv) fan out over the worker pool, then extension (v)
-/// runs across days. Days past the end of `days` are missing.
-fn run_days(
-    days: &[ObservationDay],
-    span: DateRange,
-    config: &InferenceConfig,
-    as2org: Option<&As2OrgSeries>,
-) -> DailyDelegations {
     let dates: Vec<Date> = span.iter().collect();
     let n = dates.len();
-    let missing_days = dates.get(days.len()..).unwrap_or_default().to_vec();
+    let walk_sp = obs::span!("sweep_infer_days", days = n as u64, unit = "days");
+    walk_sp.add_items(n as u64);
 
-    // Parallel per-day inference + extension (iv), merged in day order.
-    let infer_sp = obs::span!("infer_days", unit = "routes");
-    if infer_sp.is_enabled() {
-        let routes: usize = days.iter().take(n).map(|o| o.routes.len()).sum();
-        infer_sp.add_items(routes as u64);
-    }
-    let per_day: Vec<(Vec<Delegation>, usize)> = bgpsim::par::par_map(n, |gi| {
-        let Some(obs) = days.get(gi) else {
-            return (Vec::new(), 0);
-        };
-        let delegs = infer_base_delegations(obs, config);
-        if !config.filter_intra_org {
-            return (delegs, 0);
+    let ranges = bgpsim::par::chunk_ranges(n, bgpsim::par::num_threads());
+    // Sums commute, so the tally is the same whichever chunk folds first.
+    let tally = Mutex::new(SweepTally::default());
+    let per_day: Vec<DayOutcome> = bgpsim::par::map_chunked_with(&ranges, |r| {
+        let mut surface = Surface::open(&input);
+        let out = r
+            .map(|i| {
+                let Some((pairs, fallback)) = surface.day_pairs(i, dates[i], config) else {
+                    return DayOutcome::Missing;
+                };
+                let delegations = infer_from_pairs(&pairs);
+                let (delegations, removed) = match as2org {
+                    Some(series) if config.filter_intra_org => {
+                        filter_intra_org(delegations, series, dates[i])
+                    }
+                    _ => (delegations, 0),
+                };
+                DayOutcome::Served {
+                    delegations,
+                    removed,
+                    fallback,
+                }
+            })
+            .collect();
+        if let Surface::Sweep {
+            sweep,
+            changed_prefixes,
+            ..
+        } = &surface
+        {
+            // A poisoned tally means another chunk panicked; the fan-out
+            // re-raises that panic, so the partial sum is never read.
+            let mut t = tally.lock().unwrap_or_else(PoisonError::into_inner);
+            t.full_rebuilds += sweep.full_rebuilds();
+            t.rib_merges += sweep.rib_merges();
+            t.changed_prefixes += changed_prefixes;
+            t.lossy.merge(&sweep.lossy_stats());
         }
-        let date = dates[gi];
-        let (kept, removed) =
-            filter_intra_org(delegs, as2org.expect("checked above"), date);
-        (kept, removed)
+        out
     });
-    let (days, removed_counts): (Vec<Vec<Delegation>>, Vec<usize>) = per_day.into_iter().unzip();
-    drop(infer_sp);
+    drop(walk_sp);
+    if let PipelineInput::MrtArchive(_) = input {
+        tally
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .emit();
+    }
+
+    let mut days: Vec<Vec<Delegation>> = Vec::with_capacity(n);
+    let mut fallback_days = Vec::new();
+    let mut missing_days = Vec::new();
+    let mut intra_org_removed = 0usize;
+    for (outcome, &d) in per_day.into_iter().zip(&dates) {
+        match outcome {
+            DayOutcome::Missing => {
+                missing_days.push(d);
+                days.push(Vec::new());
+            }
+            DayOutcome::Served {
+                delegations,
+                removed,
+                fallback,
+            } => {
+                if fallback {
+                    fallback_days.push(d);
+                }
+                intra_org_removed += removed;
+                days.push(delegations);
+            }
+        }
+    }
+    if !fallback_days.is_empty() {
+        obs::event!(
+            obs::Level::Warn,
+            "archive_fallback_days",
+            count = fallback_days.len(),
+        );
+    }
 
     // Extension (v): sequential consistency fill across days.
     let days = if let Some(max_gap) = config.consistency_fill_days {
@@ -134,13 +186,13 @@ fn run_days(
     DailyDelegations {
         start: span.start,
         days,
-        fallback_days: Vec::new(),
+        fallback_days,
         missing_days,
-        intra_org_removed: removed_counts.iter().sum(),
+        intra_org_removed,
     }
 }
 
-/// One day's outcome inside an incremental chunk walk.
+/// One day's outcome inside a chunk walk.
 enum DayOutcome {
     Missing,
     Served {
@@ -150,7 +202,82 @@ enum DayOutcome {
     },
 }
 
-/// What the incremental walk's sweeps did, summed over chunks.
+/// Where one chunk of the walk reads its days' observations.
+enum Surface<'a> {
+    /// Pre-rendered days: each day is reduced from scratch.
+    Days(&'a [ObservationDay]),
+    /// An MRT archive: a persistent [`ObservationSweep`] seeded with
+    /// one full reconstruction at the chunk start, then one update-file
+    /// decode per day, or one borrowed RIB scan on a RIB day. The
+    /// `prefix → origin` pair map is re-reduced only for the prefixes
+    /// the sweep reports changed.
+    Sweep {
+        sweep: Box<ObservationSweep<'a>>,
+        bogons: BogonFilter,
+        pairs: BTreeMap<Prefix, Asn>,
+        changed_prefixes: usize,
+    },
+}
+
+impl<'a> Surface<'a> {
+    fn open(input: &PipelineInput<'a>) -> Surface<'a> {
+        match *input {
+            PipelineInput::MrtArchive(archive) => Surface::Sweep {
+                sweep: Box::new(archive.sweep()),
+                bogons: BogonFilter::new(),
+                pairs: BTreeMap::new(),
+                changed_prefixes: 0,
+            },
+            PipelineInput::Days(days) => Surface::Days(days),
+        }
+    }
+
+    /// Day `i` of the span (date `d`) through steps (i)–(iii): its
+    /// surviving prefix-origin pairs, sorted by prefix, and whether the
+    /// forward fallback served it. `None` when the day has no data (a
+    /// `Days` index past the end, or an unservable archive day).
+    fn day_pairs(
+        &mut self,
+        i: usize,
+        d: Date,
+        config: &InferenceConfig,
+    ) -> Option<(Vec<(Prefix, Asn)>, bool)> {
+        match self {
+            Surface::Days(days) => Some((visible_prefix_origins(days.get(i)?, config), false)),
+            Surface::Sweep {
+                sweep,
+                bogons,
+                pairs,
+                changed_prefixes,
+            } => {
+                let delta = sweep.advance(d).ok()?;
+                // Constant while the sweep stays anchored (the peer table
+                // only changes on full rebuilds, where `changed` is None).
+                let min_seen = config.min_monitors(sweep.num_monitors());
+                match &delta.changed {
+                    None => {
+                        let rows = sweep.counts().iter().map(|((p, o), &n)| (*p, o, n, &[][..]));
+                        *pairs = reduce_prefix_groups(bogons, min_seen, rows).collect();
+                    }
+                    Some(changed) => {
+                        *changed_prefixes += changed.len();
+                        for &p in changed {
+                            let rows = sweep.routes_for(p).map(|(o, n)| (o, n, &[][..]));
+                            match origin_for_prefix(bogons, min_seen, p, rows) {
+                                Some(a) => pairs.insert(p, a),
+                                None => pairs.remove(&p),
+                            };
+                        }
+                    }
+                }
+                let fallback = matches!(delta.provenance, Provenance::FallbackRib { .. });
+                Some((pairs.iter().map(|(&p, &a)| (p, a)).collect(), fallback))
+            }
+        }
+    }
+}
+
+/// What the MRT walk's sweeps did, summed over chunks.
 #[derive(Default)]
 struct SweepTally {
     full_rebuilds: usize,
@@ -169,160 +296,6 @@ impl SweepTally {
         add("delegation_sweep_full_rebuilds_total", self.full_rebuilds);
         add("delegation_sweep_rib_merges_total", self.rib_merges);
         add("delegation_sweep_changed_prefixes_total", self.changed_prefixes);
-    }
-}
-
-/// The incremental MRT path: fetch and steps (i)–(iii) fused into one
-/// chunked walk.
-///
-/// The span is split into one contiguous day range per worker
-/// (`bgpsim::par::chunk_ranges`); each worker runs a persistent
-/// [`bgpsim::updates::ObservationSweep`] seeded with one full
-/// reconstruction at its chunk start, then pays one update-file decode
-/// per day, or one borrowed RIB scan on a RIB day. A maintained `prefix → origin` pair map is re-evaluated
-/// only for the prefixes the sweep reports changed; step (iv) and
-/// extension (iv) run per day as before, and chunk results merge in
-/// day order, so any worker count produces the full-recompute result.
-fn run_mrt_incremental(
-    archive: &CollectorArchiveV2,
-    span: DateRange,
-    config: &InferenceConfig,
-    as2org: Option<&As2OrgSeries>,
-) -> DailyDelegations {
-    let days_vec: Vec<Date> = span.iter().collect();
-    let n = days_vec.len();
-    let sweep_sp = obs::span!("sweep_infer_days", days = n as u64, unit = "days");
-    sweep_sp.add_items(n as u64);
-
-    let ranges = bgpsim::par::chunk_ranges(n, bgpsim::par::num_threads());
-    // Sums commute, so the tally is the same whichever chunk folds first.
-    let tally = Mutex::new(SweepTally::default());
-    let per_day: Vec<DayOutcome> = bgpsim::par::map_chunked_with(&ranges, |r| {
-        let mut sweep = archive.sweep();
-        let bogons = BogonFilter::new();
-        let mut pairs: BTreeMap<Prefix, Asn> = BTreeMap::new();
-        let mut changed_prefixes = 0;
-        let mut out = Vec::with_capacity(r.len());
-        for i in r {
-            let d = days_vec[i];
-            let delta = match sweep.advance(d) {
-                Ok(delta) => delta,
-                Err(_) => {
-                    out.push(DayOutcome::Missing);
-                    continue;
-                }
-            };
-            // Constant while the sweep stays anchored (the peer table
-            // only changes on full rebuilds, where `changed` is None).
-            let threshold =
-                // lint:allow(L1): a ceil of a fraction of a u16 count fits u16
-                (config.visibility_threshold * sweep.num_monitors() as f64).ceil() as u16;
-            match &delta.changed {
-                None => {
-                    // Full rebuild: re-reduce every prefix, walking the
-                    // aggregated surface in its day order.
-                    pairs.clear();
-                    let mut rows = sweep.counts().iter().peekable();
-                    while let Some(((prefix, _), _)) = rows.peek().copied() {
-                        let p = *prefix;
-                        let group = std::iter::from_fn(|| {
-                            rows.next_if(|((q, _), _)| *q == p)
-                                .map(|(_, (o, c))| (o, *c))
-                        });
-                        if let Some(a) = origin_for_prefix(&bogons, config, threshold, p, group) {
-                            pairs.insert(p, a);
-                        }
-                    }
-                }
-                Some(changed) => {
-                    changed_prefixes += changed.len();
-                    for &p in changed {
-                        match origin_for_prefix(&bogons, config, threshold, p, sweep.routes_for(p))
-                        {
-                            Some(a) => {
-                                pairs.insert(p, a);
-                            }
-                            None => {
-                                pairs.remove(&p);
-                            }
-                        }
-                    }
-                }
-            }
-            let pair_list: Vec<(Prefix, Asn)> = pairs.iter().map(|(&p, &a)| (p, a)).collect();
-            let mut delegations = infer_from_pairs(&pair_list);
-            let mut removed = 0;
-            if config.filter_intra_org {
-                // lint:allow(L2): non-None asserted at pipeline entry
-                let (kept, r) = filter_intra_org(delegations, as2org.expect("checked above"), d);
-                delegations = kept;
-                removed = r;
-            }
-            out.push(DayOutcome::Served {
-                delegations,
-                removed,
-                fallback: matches!(delta.provenance, Provenance::FallbackRib { .. }),
-            });
-        }
-        // A poisoned tally means another chunk panicked; the fan-out
-        // re-raises that panic, so the partial sum is never read.
-        let mut t = tally.lock().unwrap_or_else(PoisonError::into_inner);
-        t.full_rebuilds += sweep.full_rebuilds();
-        t.rib_merges += sweep.rib_merges();
-        t.changed_prefixes += changed_prefixes;
-        t.lossy.merge(&sweep.lossy_stats());
-        out
-    });
-    drop(sweep_sp);
-    tally
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .emit();
-
-    let mut days: Vec<Vec<Delegation>> = Vec::with_capacity(n);
-    let mut fallback_days = Vec::new();
-    let mut missing_days = Vec::new();
-    let mut intra_org_removed = 0usize;
-    for (i, outcome) in per_day.into_iter().enumerate() {
-        match outcome {
-            DayOutcome::Missing => {
-                missing_days.push(days_vec[i]);
-                days.push(Vec::new());
-            }
-            DayOutcome::Served {
-                delegations,
-                removed,
-                fallback,
-            } => {
-                if fallback {
-                    fallback_days.push(days_vec[i]);
-                }
-                intra_org_removed += removed;
-                days.push(delegations);
-            }
-        }
-    }
-    if !fallback_days.is_empty() {
-        obs::event!(
-            obs::Level::Warn,
-            "archive_fallback_days",
-            count = fallback_days.len(),
-        );
-    }
-
-    let days = if let Some(max_gap) = config.consistency_fill_days {
-        let _fill_sp = obs::span!("consistency_fill", max_gap = max_gap as u64);
-        consistency_fill(&days, max_gap)
-    } else {
-        days
-    };
-
-    DailyDelegations {
-        start: span.start,
-        days,
-        fallback_days,
-        missing_days,
-        intra_org_removed,
     }
 }
 

@@ -85,7 +85,10 @@ impl From<u32> for Asn {
 /// The delegation-inference algorithm must discard prefixes originated
 /// by an `AS_SET` or by multiple distinct ASes (MOAS); representing the
 /// origin exactly keeps that logic honest.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+///
+/// Ordered with every `Single` before every `Set`, ascending by ASN
+/// within each, so `Single(Asn(0))` is the least origin.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
 pub enum Origin {
     /// A single origin AS — the normal case.
     Single(Asn),
@@ -184,5 +187,28 @@ mod tests {
         assert_eq!(set.asns(), vec![Asn(1), Asn(2)]);
         assert_eq!(set.to_string(), "{1,2}");
         assert_eq!(s.to_string(), "AS1");
+    }
+
+    #[test]
+    fn origin_order() {
+        let single = |a| Origin::Single(Asn(a));
+        // Ascending by ASN, numerically (not by rendering: "AS10" < "AS9").
+        assert!(single(9) < single(10));
+        assert!(Origin::Set(vec![Asn(9)]) < Origin::Set(vec![Asn(10)]));
+        assert!(Origin::Set(vec![Asn(1), Asn(2)]) < Origin::Set(vec![Asn(1), Asn(3)]));
+        // Every Single sorts before every Set.
+        assert!(single(u32::MAX) < Origin::Set(vec![]));
+        assert!(single(u32::MAX) < Origin::Set(vec![Asn(0)]));
+        // Single(AS0) is the minimum.
+        let mut all = [
+            Origin::Set(vec![]),
+            Origin::Set(vec![Asn(0)]),
+            single(u32::MAX),
+            single(1),
+            single(0),
+        ];
+        all.sort();
+        assert_eq!(all[0], single(0));
+        assert_eq!(all.iter().min(), Some(&Origin::Single(Asn::ZERO)));
     }
 }

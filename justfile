@@ -1,11 +1,16 @@
 # Development recipes. `just check` is the full gate CI runs.
 
 # Build, test, and lint — the merge gate.
-check: build test clippy lint
+check: build perfbench-build test clippy lint
 
 # Release build of every crate, bench and example target.
 build:
     cargo build --release --all-targets
+
+# Compile the repository benchmark. `perfbench/` is its own workspace,
+# so `build` never compiles it.
+perfbench-build:
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 # The full test suite (unit + integration + property tests).
 test:

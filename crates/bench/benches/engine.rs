@@ -17,11 +17,11 @@
 //! full-recompute work it replaces:
 //!
 //! 5. touched-prefix extraction: `delta_advance_span` (seed once, then
-//!    one `advance_state` per transition) vs `full_render_span` (one
-//!    `per_monitor_routes` per day);
+//!    one `advance_state` per transition) vs `seed_state_span` (one
+//!    fresh `seed_state` per day);
 //! 6. patch-apply materialization: `state_routes_warm` (read the
-//!    patch-maintained candidates) vs `per_monitor_routes_warm` (full
-//!    selection from scratch);
+//!    patch-maintained candidates) vs `seed_state_routes` (seed the day
+//!    from scratch, then read it);
 //! 7. update encoding: `archive_delta` (the whole archive, update
 //!    files encoded straight from `SelChange` lists), single-threaded.
 
@@ -81,10 +81,12 @@ fn bench_per_monitor_state(c: &mut Criterion) {
     let (world, model) = setup();
     let day = date("2018-02-01");
     let engine = RenderEngine::new(&world, &model);
-    // Best-route selection via precomputed ranks + sort/dedup, warm.
-    c.bench_function("engine/per_monitor_routes_warm", |b| {
-        let mut scratch = engine.scratch();
-        b.iter(|| black_box(engine.per_monitor_routes(&mut scratch, day)))
+    // Best-route selection from scratch: one seed, then its routes.
+    c.bench_function("engine/seed_state_routes", |b| {
+        b.iter(|| {
+            let state = engine.seed_state(day).expect("day in span");
+            black_box(engine.state_routes(&state))
+        })
     });
 }
 
@@ -128,14 +130,14 @@ fn bench_delta_advance(c: &mut Criterion) {
         })
     });
     // The full recompute the delta sweep replaces: every day's
-    // per-monitor routes from scratch (warm scratch, shared engine).
-    c.bench_function("engine/full_render_span", |b| {
-        let mut scratch = engine.scratch();
+    // per-monitor routes from a fresh seed (shared engine).
+    c.bench_function("engine/seed_state_span", |b| {
         b.iter(|| {
             let mut total = 0usize;
             for &d in &days {
+                let state = engine.seed_state(d).expect("day in span");
                 total += engine
-                    .per_monitor_routes(&mut scratch, d)
+                    .state_routes(&state)
                     .iter()
                     .map(Vec::len)
                     .sum::<usize>();
@@ -159,7 +161,7 @@ fn bench_patch_apply_vs_full(c: &mut Criterion) {
     c.bench_function("engine/state_routes_warm", |b| {
         b.iter(|| black_box(engine.state_routes(&state)))
     });
-    // `per_monitor_routes_warm` in `bench_per_monitor_state` is the
+    // `seed_state_routes` in `bench_per_monitor_state` is the
     // from-scratch selection this replaces.
 }
 

@@ -122,8 +122,9 @@ fn bench_mrt_archive(c: &mut Criterion) {
         CollectorArchiveV2::generate(&world, &model, world.span, &ArchiveV2Config::default())
             .expect("archive encodes");
     let mid = date("2018-02-15");
+    // One day from scratch: a fresh sweep reanchors at `mid`.
     g.bench_function("reconstruct_day", |b| {
-        b.iter(|| black_box(archive.day_view(mid).unwrap()))
+        b.iter(|| black_box(archive.sweep().advance(mid).unwrap()))
     });
     g.finish();
 }

@@ -91,27 +91,6 @@ pub(crate) fn unit_f64(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// The per-monitor view of one day: each monitor holds at most one
-/// route per prefix (BGP best-path semantics), so MOAS conflicts
-/// manifest *across* monitors, as they do at real collectors.
-///
-/// This is the input surface for the MRT archive layer
-/// ([`crate::updates`]): RIB dumps and update diffs are derived from
-/// these per-peer sets, and they use the same deterministic
-/// visibility draws as [`render_day`].
-///
-/// One-shot convenience wrapper; batch callers should build a
-/// [`RenderEngine`] once and reuse it (as [`crate::updates`] does).
-pub fn per_monitor_routes(
-    world: &LeaseWorld,
-    model: &VisibilityModel,
-    day: Date,
-) -> Vec<Vec<(Prefix, Origin)>> {
-    let engine = RenderEngine::new(world, model);
-    let mut scratch = engine.scratch();
-    engine.per_monitor_routes(&mut scratch, day)
-}
-
 /// The visibility-hash key for an origin (AS_SET origins get a
 /// distinct key space).
 pub(crate) fn origin_key(origin: &Origin) -> u32 {

@@ -9,9 +9,9 @@
 //! [`CollectorArchiveV2`] stores genuine RFC 6396 bytes:
 //! `TABLE_DUMP_V2` files for the periodic RIB snapshots and `BGP4MP`
 //! files carrying real BGP UPDATE messages for the daily diffs.
-//! [`CollectorArchiveV2::day_view`] reconstructs any day's per-peer
-//! routing state by applying update files to the most recent RIB,
-//! implementing the missing-file fallback verbatim.
+//! [`ObservationSweep`] serves any day's routing state by applying
+//! update files to the most recent RIB, implementing the missing-file
+//! fallback verbatim.
 
 use crate::bgp::{self, origin_from_attributes, BgpMessage, PathAttribute, UpdateMessage};
 use crate::mrt2::{
@@ -70,48 +70,6 @@ pub enum Provenance {
 /// peer table), prefix → chosen origin. Ordered maps so every
 /// iteration over a peer's table is deterministic.
 pub type PeerRoutes = Vec<BTreeMap<Prefix, Origin>>;
-
-/// A reconstructed day: per-peer routing state.
-#[derive(Clone, Debug)]
-pub struct DayView {
-    /// The requested date.
-    pub date: Date,
-    /// How the state was obtained.
-    pub provenance: Provenance,
-    /// Peer table (index-aligned with `peer_routes`).
-    pub peers: Vec<PeerEntry>,
-    /// For each peer, prefix → origin.
-    pub peer_routes: PeerRoutes,
-}
-
-impl DayView {
-    /// Collapse the per-peer state into the paper's observation
-    /// surface: distinct (prefix, origin) pairs with the number of
-    /// peers holding each.
-    pub fn to_observation_day(&self) -> ObservationDay {
-        let mut counts: BTreeMap<(Prefix, &Origin), u16> = BTreeMap::new();
-        for routes in &self.peer_routes {
-            for (p, o) in routes {
-                *counts.entry((*p, o)).or_default() += 1;
-            }
-        }
-        ObservationDay {
-            date: self.date,
-            // lint:allow(L1): peer tables are u16-counted on the wire, so ≤ 65535
-            num_monitors: self.peers.len() as u16,
-            routes: counts
-                .into_iter()
-                .map(|((prefix, origin), monitors_seen)| RouteObservation {
-                    prefix,
-                    origin: origin.clone(),
-                    monitors_seen,
-                    path: Vec::new().into(), // real archives carry no ground truth
-                    class: None,
-                })
-                .collect(),
-        }
-    }
-}
 
 /// Archive configuration.
 #[derive(Clone, Debug)]
@@ -578,118 +536,6 @@ impl CollectorArchiveV2 {
         Some((peers, routes))
     }
 
-    /// Apply one update file to per-peer state. Unknown peers and
-    /// undecodable records are skipped (lossy, like real pipelines).
-    fn apply_updates(
-        &self,
-        bytes: &Bytes,
-        peers: &[PeerEntry],
-        routes: &mut [BTreeMap<Prefix, Origin>],
-        stats: &mut LossyStats,
-    ) {
-        let mut records = decode_counted(bytes, stats);
-        records.sort_by_key(|r| r.timestamp);
-        // Peers are identified by (IP, ASN): multiple collector peers
-        // may share an ASN (multi-session setups), but never an IP.
-        let index_of: HashMap<(u32, Asn), usize> = peers
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ((p.ip, p.asn), i))
-            .collect();
-        for rec in records {
-            let MrtRecord::Bgp4mpMessage(m) = rec.record else {
-                continue;
-            };
-            let Some(&pi) = index_of.get(&(m.peer_ip, m.peer_as)) else {
-                continue;
-            };
-            let BgpMessage::Update(u) = m.message else {
-                continue;
-            };
-            for w in &u.withdrawn {
-                routes[pi].remove(w);
-            }
-            if !u.nlri.is_empty() {
-                if let Some(origin) = origin_from_attributes(&u.attributes) {
-                    for p in &u.nlri {
-                        routes[pi].insert(*p, origin.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Reconstruct the routing state of `date` per the paper's rules.
-    /// Damaged files are read lossily; their accounting is emitted
-    /// (see [`LossyStats::emit`]) before returning.
-    pub fn day_view(&self, date: Date) -> Result<DayView, ArchiveError> {
-        let mut stats = LossyStats::default();
-        let view = self.day_view_counted(date, &mut stats);
-        stats.emit();
-        view
-    }
-
-    /// [`CollectorArchiveV2::day_view`], folding the accounting of
-    /// every file read into `stats` instead of emitting it.
-    fn day_view_counted(
-        &self,
-        date: Date,
-        stats: &mut LossyStats,
-    ) -> Result<DayView, ArchiveError> {
-        // The RIB at or before the date…
-        let Some((&rib_date, _)) = self.ribs.range(..=date).next_back() else {
-            // …or, if the day precedes all RIBs, it is out of range.
-            return Err(if self.ribs.is_empty() {
-                ArchiveError::NoRibAvailable(date)
-            } else {
-                ArchiveError::OutOfRange(date)
-            });
-        };
-        let (peers, mut routes) = self
-            .load_rib(rib_date, stats)
-            .ok_or(ArchiveError::NoRibAvailable(date))?;
-
-        let provenance = if rib_date == date {
-            Provenance::Exact
-        } else {
-            Provenance::Reconstructed { rib_date }
-        };
-
-        let mut d = rib_date.succ();
-        while d <= date {
-            match self.updates.get(&d) {
-                Some(bytes) => {
-                    self.apply_updates(bytes, &peers, &mut routes, stats);
-                    d = d.succ();
-                }
-                None => {
-                    // Missing update file: "download the first
-                    // available rib snapshot afterward".
-                    let Some((&next_rib, _)) = self.ribs.range(d..).next() else {
-                        return Err(ArchiveError::NoRibAvailable(d));
-                    };
-                    // `rib_date` is the latest RIB <= `date`, so this
-                    // one lies after the requested day.
-                    let (p2, r2) = self
-                        .load_rib(next_rib, stats)
-                        .ok_or(ArchiveError::NoRibAvailable(next_rib))?;
-                    return Ok(DayView {
-                        date,
-                        provenance: Provenance::FallbackRib { rib_date: next_rib },
-                        peers: p2,
-                        peer_routes: r2,
-                    });
-                }
-            }
-        }
-        Ok(DayView {
-            date,
-            provenance,
-            peers,
-            peer_routes: routes,
-        })
-    }
-
     /// Start an incremental day-by-day walk over this archive.
     pub fn sweep(&self) -> ObservationSweep<'_> {
         ObservationSweep {
@@ -709,8 +555,7 @@ impl CollectorArchiveV2 {
 /// The outcome of one [`ObservationSweep::advance`] step.
 #[derive(Clone, Debug)]
 pub struct DayDelta {
-    /// How the day's state was obtained (same meaning as
-    /// [`DayView::provenance`]).
+    /// How the day's state was obtained.
     pub provenance: Provenance,
     /// Prefixes whose observation surface (the per-prefix origin/count
     /// rows) may have changed since the previous served day, sorted.
@@ -723,9 +568,8 @@ pub struct DayDelta {
 enum Anchor {
     /// No usable state (fresh sweep, or the last day errored).
     None,
-    /// State equals `day_view(day)` with Exact/Reconstructed
-    /// provenance: anchored at `rib_date` with every update file
-    /// through `day` applied.
+    /// Exact/Reconstructed state: anchored at `rib_date` with every
+    /// update file through `day` applied.
     Day { day: Date, rib_date: Date },
     /// State equals the decoded forward-fallback RIB at `rib`, served
     /// for `day` (< `rib`). Consecutive fallback days reuse it without
@@ -736,9 +580,8 @@ enum Anchor {
     Dead { day: Date, missing: Date },
 }
 
-/// An incremental replacement for calling
-/// [`CollectorArchiveV2::day_view`] + [`DayView::to_observation_day`]
-/// on every day of an ascending walk.
+/// The archive's day-by-day reconstruction: §4's procedure, served
+/// incrementally over an ascending walk.
 ///
 /// The sweep keeps the per-peer routing state *and* the aggregated
 /// observation surface (per `(prefix, origin)` monitor counts) alive
@@ -747,17 +590,15 @@ enum Anchor {
 /// forward-fallback RIB is memoized so N consecutive fallback days
 /// cost one decode. An in-sequence RIB day is merge-joined into the
 /// maintained state rather than rebuilt. Every step reports which
-/// prefixes changed, feeding incremental consumers; results are
-/// identical to the per-day reconstruction (the anchored state is
-/// exactly what `day_view` recomputes from the same files, and the
-/// sweep reanchors through `day_view` itself whenever the fast paths
-/// don't apply).
+/// prefixes changed, feeding incremental consumers. Any other day
+/// reanchors: it loads the latest RIB at or before the day and walks
+/// the same in-sequence steps up to it, so a day's state never
+/// depends on which days were served before it.
 pub struct ObservationSweep<'a> {
     archive: &'a CollectorArchiveV2,
     peers: Vec<PeerEntry>,
     routes: PeerRoutes,
-    /// `(prefix, origin) → peers holding it` — the same aggregation
-    /// [`DayView::to_observation_day`] builds, kept incrementally.
+    /// `(prefix, origin) → peers holding it`, kept incrementally.
     counts: BTreeMap<(Prefix, Origin), u16>,
     anchor: Anchor,
     full_rebuilds: usize,
@@ -784,14 +625,13 @@ fn count_dec(counts: &mut BTreeMap<(Prefix, Origin), u16>, p: Prefix, o: Origin)
 
 impl<'a> ObservationSweep<'a> {
     /// Serve `d`, which should be the successor of the last served day
-    /// (any other day falls back to a full reconstruction).
+    /// (any other day reanchors).
     pub fn advance(&mut self, d: Date) -> Result<DayDelta, ArchiveError> {
         match self.anchor {
             Anchor::Day { day, rib_date } if d == day.succ() => {
                 if self.archive.ribs.contains_key(&d) {
-                    // `day_view` prefers a same-day RIB over applying
-                    // updates: the RIB wins, merged in place when its
-                    // peer table is the current one.
+                    // A same-day RIB wins over applying updates, merged
+                    // in place when its peer table is the current one.
                     return match self.merge_rib(d) {
                         Some(delta) => Ok(delta),
                         None => self.reanchor(d),
@@ -801,7 +641,7 @@ impl<'a> ObservationSweep<'a> {
                     return self.enter_fallback(d);
                 };
                 let bytes = bytes.clone();
-                let changed = self.apply_updates_tracked(&bytes);
+                let changed = self.apply_updates(&bytes);
                 self.anchor = Anchor::Day { day: d, rib_date };
                 Ok(DayDelta {
                     provenance: Provenance::Reconstructed { rib_date },
@@ -817,7 +657,7 @@ impl<'a> ObservationSweep<'a> {
                     })
                 } else {
                     // d == rib: the memoized fallback state *is* this
-                    // RIB, which `day_view(d)` would serve as Exact.
+                    // RIB, served as Exact.
                     self.anchor = Anchor::Day { day: d, rib_date: rib };
                     Ok(DayDelta {
                         provenance: Provenance::Exact,
@@ -850,7 +690,7 @@ impl<'a> ObservationSweep<'a> {
     }
 
     /// One prefix's observation rows, in origin order — the order the
-    /// rows appear in [`DayView::to_observation_day`]'s output.
+    /// rows appear in [`ObservationSweep::observation_day`].
     pub fn routes_for(&self, p: Prefix) -> impl Iterator<Item = (&Origin, u16)> + '_ {
         // `Single(AS0)` is the least origin, so the range starts at the
         // prefix's first row.
@@ -860,8 +700,7 @@ impl<'a> ObservationSweep<'a> {
             .map(|((_, o), n)| (o, *n))
     }
 
-    /// Materialize the current surface as an [`ObservationDay`] —
-    /// identical to `day_view(date)?.to_observation_day()`.
+    /// Materialize the current surface as an [`ObservationDay`].
     pub fn observation_day(&self, date: Date) -> ObservationDay {
         ObservationDay {
             date,
@@ -880,9 +719,11 @@ impl<'a> ObservationSweep<'a> {
         }
     }
 
-    /// How many times the sweep paid for a full state rebuild (RIB
-    /// decode + count aggregation) — the work the incremental paths
-    /// avoid. Exposed for tests and diagnostics.
+    /// How many RIB decodes replaced the whole state (each followed by
+    /// a full count aggregation) — the work the incremental paths
+    /// avoid. A reanchor across a missing update file pays two: the RIB
+    /// before the gap and the fallback RIB. Exposed for tests and
+    /// diagnostics.
     pub fn full_rebuilds(&self) -> usize {
         self.full_rebuilds
     }
@@ -899,34 +740,47 @@ impl<'a> ObservationSweep<'a> {
         self.lossy
     }
 
-    /// Full reconstruction through `day_view` (first day, RIB days the
-    /// merge cannot take, out-of-sequence queries, recovery after
-    /// errors).
+    /// Serve `d` from scratch (first day, RIB days the merge cannot
+    /// take, out-of-sequence queries, recovery after errors): load the
+    /// latest RIB at or before `d`, then walk the in-sequence steps up
+    /// to `d`. No RIB lies inside that range, so each step applies an
+    /// update file, enters the forward fallback or stays dead.
     fn reanchor(&mut self, d: Date) -> Result<DayDelta, ArchiveError> {
-        match self.archive.day_view_counted(d, &mut self.lossy) {
-            Ok(view) => {
-                self.full_rebuilds += 1;
-                self.peers = view.peers;
-                self.routes = view.peer_routes;
-                self.rebuild_counts();
-                self.anchor = match view.provenance {
-                    Provenance::Exact => Anchor::Day { day: d, rib_date: d },
-                    Provenance::Reconstructed { rib_date } => Anchor::Day { day: d, rib_date },
-                    Provenance::FallbackRib { rib_date } => Anchor::Fallback { day: d, rib: rib_date },
-                };
-                Ok(DayDelta {
-                    provenance: view.provenance,
-                    changed: None,
-                })
-            }
+        let archive = self.archive;
+        let loaded = match archive.ribs.range(..=d).next_back() {
+            Some((&rib_date, _)) => archive
+                .load_rib(rib_date, &mut self.lossy)
+                .map(|state| (rib_date, state))
+                .ok_or(ArchiveError::NoRibAvailable(d)),
+            None if archive.ribs.is_empty() => Err(ArchiveError::NoRibAvailable(d)),
+            None => Err(ArchiveError::OutOfRange(d)),
+        };
+        let (rib_date, (peers, routes)) = match loaded {
+            Ok(anchor) => anchor,
             Err(e) => {
                 self.anchor = Anchor::None;
                 self.peers.clear();
                 self.routes.clear();
                 self.counts.clear();
-                Err(e)
+                return Err(e);
             }
+        };
+        self.full_rebuilds += 1;
+        self.peers = peers;
+        self.routes = routes;
+        self.rebuild_counts();
+        self.anchor = Anchor::Day { day: rib_date, rib_date };
+        let (mut day, mut served) = (rib_date, Ok(Provenance::Exact));
+        // A step that drops the anchor (an unloadable fallback RIB)
+        // ends the walk with its error.
+        while day < d && !matches!(self.anchor, Anchor::None) {
+            day = day.succ();
+            served = self.advance(day).map(|delta| delta.provenance);
         }
+        served.map(|provenance| DayDelta {
+            provenance,
+            changed: None,
+        })
     }
 
     /// Anchored at `d - 1` but `d`'s update file is missing: serve the
@@ -1005,10 +859,14 @@ impl<'a> ObservationSweep<'a> {
         }
     }
 
-    /// [`CollectorArchiveV2::apply_updates`], with count maintenance
-    /// and changed-prefix tracking bolted on. A route write that does
-    /// not change the stored origin touches nothing.
-    fn apply_updates_tracked(&mut self, bytes: &Bytes) -> Vec<Prefix> {
+    /// Apply one update file to the per-peer state and the counts, in
+    /// record timestamp order, returning the touched prefixes. Peers
+    /// are identified by (IP, ASN): several collector peers may share
+    /// an ASN (multi-session setups), but never an IP. Unknown peers
+    /// and undecodable records are skipped (lossy, like real
+    /// pipelines); a route write that does not change the stored
+    /// origin touches nothing.
+    fn apply_updates(&mut self, bytes: &Bytes) -> Vec<Prefix> {
         let mut records = decode_counted(bytes, &mut self.lossy);
         records.sort_by_key(|r| r.timestamp);
         let index_of: HashMap<(u32, Asn), usize> = self
@@ -1219,7 +1077,6 @@ fn encode_updates_delta(
 mod tests {
     use super::*;
     use crate::mrt2::decode_file_lossy;
-    use crate::observe::per_monitor_routes;
     use crate::scenario::WorldConfig;
     use crate::topology::TopologyConfig;
     use nettypes::date::date;
@@ -1277,46 +1134,45 @@ mod tests {
         assert!(archive.total_bytes() > 10_000);
     }
 
+    /// The engine's per-monitor best routes of `d`, as per-peer maps.
+    fn direct(w: &LeaseWorld, model: &VisibilityModel, d: Date) -> PeerRoutes {
+        let engine = RenderEngine::new(w, model);
+        let state = engine.seed_state(d).expect("probe inside the span");
+        engine
+            .state_routes(&state)
+            .into_iter()
+            .map(|routes| routes.into_iter().collect())
+            .collect()
+    }
+
+    /// A fresh sweep serving `d` as its first day (a reanchor).
+    fn serve(archive: &CollectorArchiveV2, d: Date) -> (ObservationSweep<'_>, Provenance) {
+        let mut sweep = archive.sweep();
+        let delta = sweep.advance(d).expect("day serves");
+        assert_eq!(delta.changed, None, "a reanchor rebuilds");
+        (sweep, delta.provenance)
+    }
+
     #[test]
     fn reconstruction_matches_direct_rendering() {
         let (w, model, archive) = setup();
         for probe in [date("2018-01-01"), date("2018-01-06"), date("2018-01-13"), date("2018-01-31")] {
-            let view = archive.day_view(probe).expect("view");
-            let direct = per_monitor_routes(&w, &model, probe);
-            assert_eq!(view.peer_routes.len(), direct.len());
-            for (pi, routes) in direct.iter().enumerate() {
-                let got = &view.peer_routes[pi];
-                assert_eq!(
-                    got.len(),
-                    routes.len(),
-                    "peer {pi} on {probe}: {} vs {} routes",
-                    got.len(),
-                    routes.len()
-                );
-                for (p, o) in routes {
-                    assert_eq!(got.get(p), Some(o), "peer {pi} {p} on {probe}");
-                }
-            }
+            let (sweep, _) = serve(&archive, probe);
+            assert_eq!(sweep.routes, direct(&w, &model, probe), "per-peer state on {probe}");
         }
     }
 
     #[test]
     fn provenance_reporting() {
         let (_, _, archive) = setup();
+        assert_eq!(serve(&archive, date("2018-01-01")).1, Provenance::Exact);
         assert_eq!(
-            archive.day_view(date("2018-01-01")).unwrap().provenance,
-            Provenance::Exact
-        );
-        assert_eq!(
-            archive.day_view(date("2018-01-05")).unwrap().provenance,
+            serve(&archive, date("2018-01-05")).1,
             Provenance::Reconstructed {
                 rib_date: date("2018-01-01")
             }
         );
-        assert_eq!(
-            archive.day_view(date("2018-01-08")).unwrap().provenance,
-            Provenance::Exact
-        );
+        assert_eq!(serve(&archive, date("2018-01-08")).1, Provenance::Exact);
     }
 
     #[test]
@@ -1327,30 +1183,26 @@ mod tests {
         // Jan 5 can no longer be reconstructed from Jan 1; the paper
         // fallback continues from the Jan 8 RIB — which is *after* the
         // target, so the state is the Jan 8 RIB itself.
-        let view = archive.day_view(date("2018-01-05")).unwrap();
+        let (sweep, provenance) = serve(&archive, date("2018-01-05"));
         assert_eq!(
-            view.provenance,
+            provenance,
             Provenance::FallbackRib {
                 rib_date: date("2018-01-08")
             }
         );
-        // The fallback state equals the direct rendering of Jan 8.
-        let direct = per_monitor_routes(&w, &model, date("2018-01-08"));
-        for (pi, routes) in direct.iter().enumerate() {
-            assert_eq!(view.peer_routes[pi].len(), routes.len());
-        }
+        assert_eq!(sweep.routes, direct(&w, &model, date("2018-01-08")));
+        // Two RIB decodes replaced the state: Jan 1, then Jan 8.
+        assert_eq!(sweep.full_rebuilds(), 2);
         // A later day that passes through the next RIB reconstructs fine.
-        let later = archive.day_view(date("2018-01-10")).unwrap();
+        let (later, provenance) = serve(&archive, date("2018-01-10"));
         assert_eq!(
-            later.provenance,
+            provenance,
             Provenance::Reconstructed {
                 rib_date: date("2018-01-08")
             }
         );
-        let direct10 = per_monitor_routes(&w, &model, date("2018-01-10"));
-        for (pi, routes) in direct10.iter().enumerate() {
-            assert_eq!(later.peer_routes[pi].len(), routes.len());
-        }
+        assert_eq!(later.routes, direct(&w, &model, date("2018-01-10")));
+        assert_eq!(later.full_rebuilds(), 1);
     }
 
     #[test]
@@ -1364,12 +1216,10 @@ mod tests {
         archive.corrupt_update_file(date("2018-01-04"), Bytes::from(v));
         // Reconstruction still works (lossy decode) but Jan 4+ may
         // drift; the Jan 8 RIB resynchronizes Jan 8 onwards.
-        let view = archive.day_view(date("2018-01-09")).unwrap();
-        let direct = per_monitor_routes(&w, &model, date("2018-01-09"));
-        for (pi, routes) in direct.iter().enumerate() {
-            let got = &view.peer_routes[pi];
+        let (sweep, _) = serve(&archive, date("2018-01-09"));
+        for (pi, routes) in direct(&w, &model, date("2018-01-09")).iter().enumerate() {
             for (p, o) in routes {
-                assert_eq!(got.get(p), Some(o));
+                assert_eq!(sweep.routes[pi].get(p), Some(o));
             }
         }
     }
@@ -1378,12 +1228,12 @@ mod tests {
     fn out_of_range_and_empty() {
         let (_, _, archive) = setup();
         assert!(matches!(
-            archive.day_view(date("2017-12-25")),
+            archive.sweep().advance(date("2017-12-25")),
             Err(ArchiveError::OutOfRange(_))
         ));
         let empty = CollectorArchiveV2::default();
         assert!(matches!(
-            empty.day_view(date("2018-01-01")),
+            empty.sweep().advance(date("2018-01-01")),
             Err(ArchiveError::NoRibAvailable(_))
         ));
     }
@@ -1392,13 +1242,12 @@ mod tests {
     fn observation_day_counts_match() {
         let (w, model, archive) = setup();
         let probe = date("2018-01-20");
-        let view = archive.day_view(probe).unwrap();
-        let obs = view.to_observation_day();
+        let (sweep, _) = serve(&archive, probe);
+        let obs = sweep.observation_day(probe);
         assert_eq!(obs.num_monitors, 12);
         // Aggregate counts agree with the direct per-monitor rendering.
-        let direct = per_monitor_routes(&w, &model, probe);
         let mut expect: HashMap<(Prefix, String), u16> = HashMap::new();
-        for routes in &direct {
+        for routes in &direct(&w, &model, probe) {
             for (p, o) in routes {
                 *expect.entry((*p, format!("{o}"))).or_default() += 1;
             }
@@ -1443,22 +1292,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_day_view_every_day() {
-        let (_, _, archive) = setup();
-        let mut sweep = archive.sweep();
-        for d in DateRange::new(date("2018-01-01"), date("2018-01-31")).iter() {
-            let delta = sweep.advance(d).expect("day serves");
-            let view = archive.day_view(d).expect("view");
-            assert_eq!(delta.provenance, view.provenance, "provenance differs on {d}");
-            assert_eq!(
-                sweep.observation_day(d),
-                view.to_observation_day(),
-                "observation surface differs on {d}"
-            );
-        }
-    }
-
-    #[test]
     fn sweep_changed_prefixes_cover_all_surface_changes() {
         let (_, _, archive) = setup();
         let mut sweep = archive.sweep();
@@ -1489,121 +1322,6 @@ mod tests {
                 }
             }
             prev = Some(today);
-        }
-    }
-
-    #[test]
-    fn sweep_memoizes_fallback_rib() {
-        let (_, _, mut archive) = setup();
-        // Kill Jan 3's update file: Jan 3–7 fall forward to the Jan 8
-        // RIB, which must be decoded exactly once.
-        assert!(archive.drop_update_file(date("2018-01-03")));
-        let mut sweep = archive.sweep();
-        let mut rebuilds_at_fallback_start = None;
-        for d in DateRange::new(date("2018-01-01"), date("2018-01-31")).iter() {
-            let delta = sweep.advance(d).expect("day serves");
-            let view = archive.day_view(d).expect("view");
-            assert_eq!(delta.provenance, view.provenance, "provenance differs on {d}");
-            assert_eq!(
-                sweep.observation_day(d),
-                view.to_observation_day(),
-                "observation surface differs on {d}"
-            );
-            if d == date("2018-01-03") {
-                rebuilds_at_fallback_start = Some(sweep.full_rebuilds());
-            }
-            if d > date("2018-01-03") && d <= date("2018-01-08") {
-                // Consecutive fallback days (and the RIB day the
-                // fallback anchors to) cost no further rebuilds.
-                assert_eq!(Some(sweep.full_rebuilds()), rebuilds_at_fallback_start, "{d}");
-            }
-        }
-        // 31 day_view calls would have paid 31 rebuilds; the sweep
-        // rebuilds only at Jan 1 and the fallback. The later RIB days
-        // (15, 22, 29) arrive in sequence and merge-join instead.
-        assert_eq!(sweep.full_rebuilds(), 2);
-        assert_eq!(sweep.rib_merges(), 3);
-    }
-
-    #[test]
-    fn sweep_rib_merge_keeps_map_semantics_on_odd_ribs() {
-        use crate::mrt2::decode_file;
-        let (_, _, mut archive) = setup();
-        let d = date("2018-01-15");
-        let mut records = decode_file(archive.rib_bytes(d).unwrap()).expect("clean RIB");
-        let MrtRecord::RibIpv4Unicast(first) = records[1].record.clone() else {
-            panic!("RIB record expected after the peer table");
-        };
-        let pi = first.entries[0].peer_index;
-        let other_origin = bgp::encode_attributes(&[PathAttribute::AsPath(vec![
-            bgp::AsPathSegment::Sequence(vec![Asn(64_999)]),
-        ])]);
-        let entry = |peer_index: u16, attributes: Bytes| RibEntry {
-            peer_index,
-            originated_time: 0,
-            attributes,
-        };
-        let rib = |entries: Vec<RibEntry>| TimestampedRecord {
-            timestamp: 0,
-            record: MrtRecord::RibIpv4Unicast(RibIpv4Unicast {
-                sequence: 0,
-                prefix: first.prefix,
-                entries,
-            }),
-        };
-        // Before the peer table: dropped. After the last record: the
-        // second write wins, then an undecodable write and an
-        // out-of-range peer change nothing.
-        records.insert(0, rib(vec![entry(pi, other_origin.clone())]));
-        records.push(rib(vec![entry(pi, other_origin)]));
-        records.push(rib(vec![
-            entry(pi, Bytes::from_static(&[0x40, 2, 9])),
-            entry(u16::MAX, first.entries[0].attributes.clone()),
-        ]));
-        archive.replace_rib(d, encode_file(&records).expect("encodes"));
-
-        let mut sweep = archive.sweep();
-        for day in DateRange::new(date("2018-01-01"), date("2018-01-31")).iter() {
-            let delta = sweep.advance(day).expect("day serves");
-            let view = archive.day_view(day).expect("view");
-            assert_eq!(delta.provenance, view.provenance, "{day}");
-            assert_eq!(
-                sweep.observation_day(day),
-                view.to_observation_day(),
-                "{day}"
-            );
-            if day == d {
-                assert_eq!(
-                    view.peer_routes[usize::from(pi)][&first.prefix],
-                    Origin::Single(Asn(64_999))
-                );
-                assert!(delta.changed.expect("merged").contains(&first.prefix));
-            }
-        }
-        assert_eq!((sweep.full_rebuilds(), sweep.rib_merges()), (1, 4));
-    }
-
-    #[test]
-    fn sweep_trailing_gap_errors_every_day() {
-        let (_, _, mut archive) = setup();
-        // Remove the last RIB and every update file after Jan 25: days
-        // 26+ have no data at all.
-        assert!(archive.drop_rib(date("2018-01-29")));
-        for d in DateRange::new(date("2018-01-26"), date("2018-01-31")).iter() {
-            archive.drop_update_file(d);
-        }
-        let mut sweep = archive.sweep();
-        for d in DateRange::new(date("2018-01-01"), date("2018-01-31")).iter() {
-            let got = sweep.advance(d);
-            let want = archive.day_view(d);
-            match (got, want) {
-                (Ok(delta), Ok(view)) => {
-                    assert_eq!(delta.provenance, view.provenance, "{d}");
-                    assert_eq!(sweep.observation_day(d), view.to_observation_day(), "{d}");
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "{d}"),
-                (a, b) => panic!("sweep/day_view disagree on {d}: {a:?} vs {b:?}"),
-            }
         }
     }
 

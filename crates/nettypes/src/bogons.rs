@@ -7,36 +7,44 @@
 
 use crate::asn::Asn;
 use crate::prefix::Prefix;
-use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// The IANA special-purpose IPv4 registry entries (the "full bogon"
 /// prefix list as distributed by Team Cymru's bogon reference).
 pub fn bogon_prefixes() -> Vec<Prefix> {
-    [
-        "0.0.0.0/8",        // "this network", RFC 791
-        "10.0.0.0/8",       // private, RFC 1918
-        "100.64.0.0/10",    // CGN shared space, RFC 6598
-        "127.0.0.0/8",      // loopback, RFC 1122
-        "169.254.0.0/16",   // link local, RFC 3927
-        "172.16.0.0/12",    // private, RFC 1918
-        "192.0.0.0/24",     // IETF protocol assignments, RFC 6890
-        "192.0.2.0/24",     // TEST-NET-1, RFC 5737
-        "192.168.0.0/16",   // private, RFC 1918
-        "198.18.0.0/15",    // benchmarking, RFC 2544
-        "198.51.100.0/24",  // TEST-NET-2, RFC 5737
-        "203.0.113.0/24",   // TEST-NET-3, RFC 5737
-        "224.0.0.0/4",      // multicast, RFC 5771
-        "240.0.0.0/4",      // reserved, RFC 1112
-    ]
-    .iter()
-    .map(|s| s.parse().expect("static bogon table"))
-    .collect()
+    bogon_table().to_vec()
+}
+
+/// The bogon table, parsed once per process.
+fn bogon_table() -> &'static [Prefix] {
+    static TABLE: OnceLock<Vec<Prefix>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        [
+            "0.0.0.0/8",        // "this network", RFC 791
+            "10.0.0.0/8",       // private, RFC 1918
+            "100.64.0.0/10",    // CGN shared space, RFC 6598
+            "127.0.0.0/8",      // loopback, RFC 1122
+            "169.254.0.0/16",   // link local, RFC 3927
+            "172.16.0.0/12",    // private, RFC 1918
+            "192.0.0.0/24",     // IETF protocol assignments, RFC 6890
+            "192.0.2.0/24",     // TEST-NET-1, RFC 5737
+            "192.168.0.0/16",   // private, RFC 1918
+            "198.18.0.0/15",    // benchmarking, RFC 2544
+            "198.51.100.0/24",  // TEST-NET-2, RFC 5737
+            "203.0.113.0/24",   // TEST-NET-3, RFC 5737
+            "224.0.0.0/4",      // multicast, RFC 5771
+            "240.0.0.0/4",      // reserved, RFC 1112
+        ]
+        .iter()
+        .map(|s| s.parse().expect("static bogon table"))
+        .collect()
+    })
 }
 
 /// A compiled bogon filter for fast per-route checks.
 #[derive(Clone, Debug)]
 pub struct BogonFilter {
-    bogons: Vec<Prefix>,
+    bogons: &'static [Prefix],
 }
 
 impl Default for BogonFilter {
@@ -46,10 +54,11 @@ impl Default for BogonFilter {
 }
 
 impl BogonFilter {
-    /// Build the filter from the static bogon table.
+    /// Build the filter from the static bogon table (no parsing or
+    /// allocation after the first call in a process).
     pub fn new() -> Self {
         BogonFilter {
-            bogons: bogon_prefixes(),
+            bogons: bogon_table(),
         }
     }
 
@@ -77,19 +86,12 @@ pub fn path_has_reserved_asn(path: &[Asn]) -> bool {
 /// True if the AS path contains a loop: the same ASN appearing in two
 /// non-contiguous runs (legitimate prepending — the same ASN repeated
 /// consecutively — is not a loop).
+///
+/// Each run start is looked up in the path before it: quadratic, but
+/// allocation-free, and the paths checked are short (valley-free
+/// renderer paths; archive rows pass `&[]`).
 pub fn path_has_loop(path: &[Asn]) -> bool {
-    let mut seen: HashSet<Asn> = HashSet::new();
-    let mut prev: Option<Asn> = None;
-    for &asn in path {
-        if prev == Some(asn) {
-            continue; // prepending
-        }
-        if !seen.insert(asn) {
-            return true;
-        }
-        prev = Some(asn);
-    }
-    false
+    (1..path.len()).any(|i| path[i] != path[i - 1] && path[..i].contains(&path[i]))
 }
 
 /// The full route-sanitization predicate from §4 of the paper: keep a
@@ -134,6 +136,28 @@ mod tests {
         assert!(path_has_loop(&a(&[1, 2, 2, 3, 2])));
         assert!(!path_has_loop(&[]));
         assert!(!path_has_loop(&a(&[7])));
+    }
+
+    proptest::proptest! {
+        /// The scan agrees with a set of run starts seen so far.
+        #[test]
+        fn prop_loop_scan_matches_set_reference(
+            raw in proptest::collection::vec(0u32..6, 0..12),
+        ) {
+            let path: Vec<Asn> = raw.iter().map(|&x| Asn(x)).collect();
+            let mut seen = std::collections::HashSet::new();
+            let mut reference = false;
+            for (i, a) in path.iter().enumerate() {
+                if i > 0 && path[i - 1] == *a {
+                    continue; // prepending
+                }
+                if !seen.insert(*a) {
+                    reference = true;
+                    break;
+                }
+            }
+            proptest::prop_assert_eq!(path_has_loop(&path), reference, "{:?}", path);
+        }
     }
 
     #[test]

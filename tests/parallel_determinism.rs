@@ -6,6 +6,9 @@
 //! rendered figures, CSV exports — may depend on the thread count.
 //! These tests pin that contract end to end.
 
+#[path = "common/archive_oracle.rs"]
+mod archive_oracle;
+
 use bgpsim::observe::{render_days_with_threads, ObservationDay};
 use bgpsim::updates::{ArchiveV2Config, CollectorArchiveV2, Provenance};
 use delegation::config::InferenceConfig;
@@ -713,11 +716,20 @@ fn engine_observation_days_match_legacy_oracle_at_every_pool_size() {
 
 #[test]
 fn engine_per_monitor_state_matches_legacy_oracle() {
+    // One seed, then one `advance_state` per day across the whole span:
+    // the patched best-path state equals the from-scratch reference on
+    // every day.
     let config = StudyConfig::quick_seeded(48);
     let world = bgpsim::scenario::LeaseWorld::generate(&config.world);
-    for d in world.span.iter().step_by(7) {
+    let engine = bgpsim::engine::RenderEngine::new(&world, &config.visibility);
+    let mut state = engine.seed_state(world.span.start).expect("span start");
+    let mut changes = Vec::new();
+    for d in world.span.iter() {
+        if d > world.span.start {
+            assert_eq!(engine.advance_state(&mut state, &mut changes), Some(d));
+        }
         assert_eq!(
-            bgpsim::observe::per_monitor_routes(&world, &config.visibility, d),
+            engine.state_routes(&state),
             legacy_oracle::per_monitor_routes(&world, &config.visibility, d),
             "per-monitor state differs on {d}"
         );
@@ -816,11 +828,12 @@ fn fig6_outputs_match_legacy_oracle_rendering_at_every_pool_size() {
 // ---------------------------------------------------------------------------
 // Incremental-vs-full parity: the persistent observation sweep and the
 // incremental delegation pipeline must be invisible — every byte
-// identical to a from-scratch `day_view` of every day, at every worker
-// count — and archive chunking must never change a byte.
+// identical to a from-scratch reconstruction of every day
+// (`archive_oracle::day_view`), at every worker count — and archive
+// chunking must never change a byte.
 // ---------------------------------------------------------------------------
 
-/// What `day_view` serves on every day of `span`, rebuilt from scratch:
+/// What the oracle serves on every day of `span`, rebuilt from scratch:
 /// the full-recompute oracle's input. A day that cannot be served is
 /// empty and listed as missing; a forward-fallback day is listed too.
 struct OracleDays {
@@ -836,7 +849,7 @@ fn oracle_days(archive: &CollectorArchiveV2, span: DateRange) -> OracleDays {
         missing_days: Vec::new(),
     };
     for d in span.iter() {
-        let day = match archive.day_view(d) {
+        let day = match archive_oracle::day_view(archive, d) {
             Ok(view) => {
                 if let Provenance::FallbackRib { .. } = view.provenance {
                     out.fallback_days.push(d);
@@ -891,7 +904,7 @@ fn archive_files(a: &CollectorArchiveV2) -> (DatedFiles, DatedFiles) {
 #[test]
 fn sweep_observation_days_match_day_view_across_faults() {
     // The persistent sweep must serve the same observation surface as
-    // a from-scratch `day_view` on every day — including across a
+    // the from-scratch oracle on every day — including across a
     // dropped update file (forward-fallback region) where the sweep
     // memoizes the decoded fallback RIB.
     let config = StudyConfig::quick_seeded(48);
@@ -910,7 +923,7 @@ fn sweep_observation_days_match_day_view_across_faults() {
     let mut sweep = archive.sweep();
     for &d in &days {
         let delta = sweep.advance(d);
-        let view = archive.day_view(d);
+        let view = archive_oracle::day_view(&archive, d);
         match (&delta, &view) {
             (Ok(_), Ok(view)) => assert_eq!(
                 sweep.observation_day(d),
@@ -1012,7 +1025,7 @@ fn sweep_merges_adversarial_ribs_like_day_view() {
     let mut prev: Option<bgpsim::observe::ObservationDay> = None;
     for d in span.iter() {
         let delta = sweep.advance(d).expect("day serves");
-        let view = archive.day_view(d).expect("day_view serves");
+        let view = archive_oracle::day_view(&archive, d).expect("oracle serves");
         assert_eq!(
             delta.provenance, view.provenance,
             "provenance differs on {d}"
